@@ -221,6 +221,7 @@ class BoundQuiverAlgebra:
         self.basis_words = [w for i, w in enumerate(words) if i not in pivset]
         self.dim = len(self.basis_words)
         field.check_trace_bound(self.dim)
+        field.check_exact(self.dim)
 
         # canon: full word coordinates -> basis coordinates
         y = field.identity(len(words))
@@ -318,15 +319,39 @@ class BoundQuiverAlgebra:
         """Basis indices of paths from i to j."""
         return list(self._slices.get((i, j), []))
 
+    def slice_mask(self, tverts, sverts) -> np.ndarray:
+        """Boolean mask of shape (len(tverts), len(sverts), dim) marking the
+        basis paths from tverts[r] to sverts[c]."""
+        t = np.asarray(tverts, dtype=np.int64).reshape(-1, 1, 1)
+        s = np.asarray(sverts, dtype=np.int64).reshape(1, -1, 1)
+        return (self._sources == t) & (self._targets == s)
+
     def paths_from(self, i: int) -> list[int]:
         return [k for k in range(self.dim) if self._sources[k] == i]
 
     # -- arithmetic -------------------------------------------------------
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = self.field.reduce(x)
-        y = self.field.reduce(y)
-        return np.einsum("i,j,ijm->m", x, y, self.mult_table) % self.field.p
+        return self.field.matmul(self.field.reduce(y), self.left_table(x))
+
+    def left_table(self, a: np.ndarray) -> np.ndarray:
+        """Left multiplication by the entries of a, of shape (..., dim):
+        t[..., j, m] is the coefficient of basis word m in a[...] * word j."""
+        d = self.dim
+        a = self.field.reduce(a)
+        flat = self.field.matmul(a.reshape(-1, d), self.mult_table.reshape(d, d * d))
+        return flat.reshape(a.shape[:-1] + (d, d))
+
+    def right_table(self, b: np.ndarray) -> np.ndarray:
+        """Right multiplication by the entries of b, of shape (..., dim):
+        t[..., i, m] is the coefficient of basis word m in word i * b[...]."""
+        d = self.dim
+        if "mult_table_ji" not in self._cache:
+            self._cache["mult_table_ji"] = np.ascontiguousarray(
+                self.mult_table.transpose(1, 0, 2)).reshape(d, d * d)
+        b = self.field.reduce(b)
+        flat = self.field.matmul(b.reshape(-1, d), self._cache["mult_table_ji"])
+        return flat.reshape(b.shape[:-1] + (d, d))
 
     def element_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of matrices with algebra-element entries.
@@ -334,10 +359,10 @@ class BoundQuiverAlgebra:
         a has shape (r, k, dim), b has shape (k, c, dim); the result is
         (r, c, dim) with entries sum_k a[i,k] * b[k,j].
         """
-        a = self.field.reduce(a)
-        b = self.field.reduce(b)
-        tmp = np.einsum("rki,kcj->rcij", a, b) % self.field.p
-        return np.einsum("rcij,ijm->rcm", tmp, self.mult_table) % self.field.p
+        (r, k, d), c = a.shape, b.shape[1]
+        left = self.left_table(a).transpose(0, 3, 1, 2).reshape(r * d, k * d)
+        right = self.field.reduce(b).transpose(0, 2, 1).reshape(k * d, c)
+        return self.field.matmul(left, right).reshape(r, d, c).transpose(0, 2, 1)
 
     def right_mult_matrix(self, x: np.ndarray, rows, cols) -> np.ndarray:
         """Matrix of (basis word b -> b * x) from span(rows) to span(cols)."""
@@ -433,7 +458,11 @@ class BoundQuiverAlgebra:
         return self._op_matrix
 
     def op_element(self, x: np.ndarray) -> np.ndarray:
-        return self.field.matmul(self.field.reduce(x).reshape(1, -1), self.op_matrix())[0]
+        """The anti-isomorphism applied to an element, or to every entry of
+        an array of elements of shape (..., dim)."""
+        x = self.field.reduce(x)
+        return self.field.matmul(x.reshape(-1, self.dim),
+                                 self.op_matrix()).reshape(x.shape)
 
     # -- formatting -------------------------------------------------------
 

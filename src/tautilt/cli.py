@@ -13,6 +13,7 @@ import json
 import sys
 
 from .errors import (
+    FieldTooSmallError,
     MutationAmbiguousError,
     NotCompletableError,
     NotInFacError,
@@ -20,6 +21,7 @@ from .errors import (
     NotSiltingError,
     NotSupportTauTiltingError,
     ParseError,
+    PrimeTooLargeError,
     RandomnessExhaustedError,
     TautiltError,
     TheoremViolationError,
@@ -339,6 +341,10 @@ def main(argv=None) -> int:
             RandomnessExhaustedError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except (FieldTooSmallError, PrimeTooLargeError) as exc:
+        print(f"error: {exc}; choose another prime with --field-p",
+              file=sys.stderr)
+        return 2
     except (ParseError, TautiltError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,8 +6,13 @@ component from the c-th degree -1 summand to the r-th degree 0 summand, so
 composition of maps is the ordinary matrix product over the algebra.
 
 Hom spaces in the homotopy category are computed degreewise on element
-matrices.  Isomorphism and direct sum decomposition are delegated to the
-module layer: a two-term complex is the same thing as a module over the
+matrices; each composition operator is read off the multiplication table
+by one vectorised product and one gather.  A single unit-elimination
+routine, eliminate_units, strips contractible summands both from two-term
+complexes and from the three-term cones that mutation builds.
+
+Isomorphism and direct sum decomposition are delegated to the module
+layer: a two-term complex is the same thing as a module over the
 triangular matrix algebra of A, where both questions are plain module
 questions and minimal complexes are homotopy equivalent exactly when they
 are isomorphic on the nose.
@@ -18,7 +23,12 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import Arrow, Quiver, Relation, build_algebra
-from .errors import NotSelfinjectiveError, TheoremViolationError
+from .errors import (
+    FieldTooSmallError,
+    NotSelfinjectiveError,
+    PrimeTooLargeError,
+    TheoremViolationError,
+)
 from .modules import (
     Rep,
     RepMap,
@@ -51,14 +61,12 @@ class TwoTermComplex:
             raise ValueError(f"differential shape {d.shape} is wrong")
         self.d = d
         if check:
-            for r, tv in enumerate(self.deg0):
-                for c, sv in enumerate(self.deg1):
-                    allowed = set(algebra.slice_indices(tv, sv))
-                    support = set(np.nonzero(d[r, c])[0].tolist())
-                    if not support <= allowed:
-                        raise ValueError(
-                            f"entry ({r}, {c}) leaves e_{tv} A e_{sv}"
-                        )
+            bad = np.argwhere(d.astype(bool)
+                              & ~algebra.slice_mask(self.deg0, self.deg1))
+            if len(bad):
+                r, c = int(bad[0][0]), int(bad[0][1])
+                raise ValueError(f"entry ({r}, {c}) leaves "
+                                 f"e_{self.deg0[r]} A e_{self.deg1[c]}")
 
     def __repr__(self):
         return f"TwoTermComplex(deg1={list(self.deg1)}, deg0={list(self.deg0)})"
@@ -107,87 +115,53 @@ def sum_complexes(complexes: list) -> TwoTermComplex:
 # -- hom spaces in the homotopy category -------------------------------------
 
 
-def _space(algebra, tverts, sverts):
-    """Coordinates for element matrices with entry (r, c) constrained to
-    e_{tverts[r]} A e_{sverts[c]}."""
-    slices = {}
-    offs = {}
-    pos = 0
-    for r, tv in enumerate(tverts):
-        for c, sv in enumerate(sverts):
-            sl = algebra.slice_indices(tv, sv)
-            slices[(r, c)] = sl
-            offs[(r, c)] = pos
-            pos += len(sl)
-    return {"slices": slices, "offs": offs, "total": pos,
-            "shape": (len(tverts), len(sverts)), "dim": algebra.dim}
+class _Space:
+    """Coordinates of element matrices of shape (len(tverts), len(sverts),
+    dim) whose entry (r, c) lies in e_{tverts[r]} A e_{sverts[c]}: the n-th
+    coordinate is basis word basis[n] of entry (rows[n], cols[n]), in
+    row-major order."""
+
+    def __init__(self, algebra, tverts, sverts):
+        self.shape = (len(tverts), len(sverts), algebra.dim)
+        self.rows, self.cols, self.basis = np.nonzero(
+            algebra.slice_mask(tverts, sverts))
+        self.total = len(self.basis)
+
+    def unflatten(self, vec) -> np.ndarray:
+        e = np.zeros(self.shape, dtype=np.int64)
+        e[self.rows, self.cols, self.basis] = vec
+        return e
 
 
-def _flatten(e, space):
-    out = np.zeros(space["total"], dtype=np.int64)
-    for (r, c), sl in space["slices"].items():
-        o = space["offs"][(r, c)]
-        out[o:o + len(sl)] = e[r, c][sl]
-    return out
+def _left_op(algebra, a, xsp: _Space, osp: _Space) -> np.ndarray:
+    """Matrix of X -> a . X from xsp to osp coordinates, one row per input
+    coordinate."""
+    t = algebra.left_table(a)  # t[r, k, j, m]: word m in a[r, k] * word j
+    same_col = xsp.cols[:, None] == osp.cols
+    return t[osp.rows, xsp.rows[:, None], xsp.basis[:, None], osp.basis] * same_col
 
 
-def _unflatten(vec, space):
-    e = np.zeros(space["shape"] + (space["dim"],), dtype=np.int64)
-    for (r, c), sl in space["slices"].items():
-        o = space["offs"][(r, c)]
-        e[r, c][sl] = vec[o:o + len(sl)]
-    return e
-
-
-def _compose_left(algebra, a, x_space, out_space) -> np.ndarray:
-    """Matrix of X -> a . X between flattened coordinate spaces."""
-    cols = []
-    for k in range(x_space["total"]):
-        unit = np.zeros(x_space["total"], dtype=np.int64)
-        unit[k] = 1
-        prod = algebra.element_matmul(a, _unflatten(unit, x_space))
-        cols.append(_flatten(prod, out_space))
-    if not cols:
-        return algebra.field.zeros(out_space["total"], 0)
-    return np.array(cols, dtype=np.int64).T
-
-
-def _compose_right(algebra, b, x_space, out_space) -> np.ndarray:
-    """Matrix of X -> X . b between flattened coordinate spaces."""
-    cols = []
-    for k in range(x_space["total"]):
-        unit = np.zeros(x_space["total"], dtype=np.int64)
-        unit[k] = 1
-        prod = algebra.element_matmul(_unflatten(unit, x_space), b)
-        cols.append(_flatten(prod, out_space))
-    if not cols:
-        return algebra.field.zeros(out_space["total"], 0)
-    return np.array(cols, dtype=np.int64).T
+def _right_op(algebra, b, xsp: _Space, osp: _Space) -> np.ndarray:
+    """Matrix of X -> X . b from xsp to osp coordinates, one row per input
+    coordinate."""
+    t = algebra.right_table(b)  # t[k, c, i, m]: word m in word i * b[k, c]
+    same_row = xsp.rows[:, None] == osp.rows
+    return t[xsp.cols[:, None], osp.cols, xsp.basis[:, None], osp.basis] * same_row
 
 
 def _chain_map_data(p: TwoTermComplex, q: TwoTermComplex):
-    """Kernel basis of the chain-map condition and the homotopy image rows,
-    in the joint (F1, F0) coordinate space."""
+    """Kernel basis of the chain-map condition and the homotopy images, as
+    rows in the joint (F1, F0) coordinate space."""
     alg = p.algebra
     field = alg.field
-    f1 = _space(alg, q.deg1, p.deg1)
-    f0 = _space(alg, q.deg0, p.deg0)
-    out = _space(alg, q.deg0, p.deg1)
-    lhs = _compose_left(alg, q.d, f1, out)
-    rhs = _compose_right(alg, p.d, f0, out)
-    cons = np.hstack([lhs, (-rhs) % field.p])
-    maps = field.kernel_basis(cons)
-    hsp = _space(alg, q.deg1, p.deg0)
-    himg = []
-    for k in range(hsp["total"]):
-        unit = np.zeros(hsp["total"], dtype=np.int64)
-        unit[k] = 1
-        h = _unflatten(unit, hsp)
-        part1 = _flatten(alg.element_matmul(h, p.d), f1)
-        part0 = _flatten(alg.element_matmul(q.d, h), f0)
-        himg.append(np.concatenate([part1, part0]))
-    himg = (np.array(himg, dtype=np.int64) if himg
-            else field.zeros(0, f1["total"] + f0["total"]))
+    f1 = _Space(alg, q.deg1, p.deg1)
+    f0 = _Space(alg, q.deg0, p.deg0)
+    out = _Space(alg, q.deg0, p.deg1)
+    hsp = _Space(alg, q.deg1, p.deg0)
+    cons = np.vstack([_left_op(alg, q.d, f1, out),
+                      (-_right_op(alg, p.d, f0, out)) % field.p])
+    maps = field.left_kernel_basis(cons)
+    himg = np.hstack([_right_op(alg, p.d, hsp, f1), _left_op(alg, q.d, hsp, f0)])
     return f1, f0, maps, himg
 
 
@@ -201,88 +175,77 @@ def hom_dim(p: TwoTermComplex, q: TwoTermComplex, shift: int = 0) -> int:
         _, _, maps, himg = _chain_map_data(p, q)
         return len(maps) - field.rank(himg)
     if shift == 1:
-        fsp = _space(alg, q.deg0, p.deg1)
-        h0sp = _space(alg, q.deg0, p.deg0)
-        h1sp = _space(alg, q.deg1, p.deg1)
-        rows = []
-        for k in range(h0sp["total"]):
-            unit = np.zeros(h0sp["total"], dtype=np.int64)
-            unit[k] = 1
-            rows.append(_flatten(
-                alg.element_matmul(_unflatten(unit, h0sp), p.d), fsp))
-        for k in range(h1sp["total"]):
-            unit = np.zeros(h1sp["total"], dtype=np.int64)
-            unit[k] = 1
-            rows.append(_flatten(
-                alg.element_matmul(q.d, _unflatten(unit, h1sp)), fsp))
-        img = (np.array(rows, dtype=np.int64) if rows
-               else field.zeros(0, fsp["total"]))
-        return fsp["total"] - field.rank(img)
-    gsp = _space(alg, q.deg1, p.deg0)
-    out1 = _space(alg, q.deg1, p.deg1)
-    out0 = _space(alg, q.deg0, p.deg0)
-    cons = np.vstack([
-        _compose_right(alg, p.d, gsp, out1),
-        _compose_left(alg, q.d, gsp, out0),
+        fsp = _Space(alg, q.deg0, p.deg1)
+        img = np.vstack([
+            _right_op(alg, p.d, _Space(alg, q.deg0, p.deg0), fsp),
+            _left_op(alg, q.d, _Space(alg, q.deg1, p.deg1), fsp),
+        ])
+        return fsp.total - field.rank(img)
+    gsp = _Space(alg, q.deg1, p.deg0)
+    cons = np.hstack([
+        _right_op(alg, p.d, gsp, _Space(alg, q.deg1, p.deg1)),
+        _left_op(alg, q.d, gsp, _Space(alg, q.deg0, p.deg0)),
     ])
-    return len(field.kernel_basis(cons))
+    return gsp.total - field.rank(cons)
 
 
 def chain_maps_mod_homotopy(p: TwoTermComplex, q: TwoTermComplex) -> list:
     """Representatives of a basis of Hom(p, q) modulo homotopy, as pairs of
-    element matrices (f1, f0)."""
-    alg = p.algebra
-    field = alg.field
+    element matrices (f1, f0).  Reading the homotopy images and then the
+    chain-map basis as columns, the representatives are the chain maps
+    whose columns are pivots of one row reduction."""
+    field = p.algebra.field
     f1, f0, maps, himg = _chain_map_data(p, q)
-    reps = []
-    span = himg
-    rank = field.rank(span)
-    for vec in maps:
-        cand = np.vstack([span, vec.reshape(1, -1)])
-        r = field.rank(cand)
-        if r > rank:
-            span, rank = cand, r
-            reps.append((_unflatten(vec[:f1["total"]], f1),
-                         _unflatten(vec[f1["total"]:], f0)))
-    return reps
+    _, pivots = field.rref(np.vstack([himg, maps]).T)
+    picked = [maps[c - len(himg)] for c in pivots if c >= len(himg)]
+    return [(f1.unflatten(vec[:f1.total]), f0.unflatten(vec[f1.total:]))
+            for vec in picked]
 
 
 # -- minimality ---------------------------------------------------------------
 
 
-def minimalize(c: TwoTermComplex) -> TwoTermComplex:
-    """Strip contractible summands: repeatedly eliminate a unit entry of
-    the differential by row and column operations and delete its pair of
-    summands."""
-    alg = c.algebra
-    field = alg.field
-    deg1 = list(c.deg1)
-    deg0 = list(c.deg0)
-    d = c.d.copy()
+def eliminate_units(algebra, verts: list, ds: list) -> tuple:
+    """Minimalise a complex of projectives by Gaussian elimination.
+
+    verts lists the summand vertices of each degree and ds[k] is the
+    element matrix of the differential from degree k to degree k + 1.
+    While some differential has a unit entry between equal vertices (first
+    differential, then row, then column), take the Schur complement on it
+    and drop the matching row of the previous differential and column of
+    the next one; the complex then has no unit entries left.  Returns new
+    (verts, ds).
+    """
+    field = algebra.field
+    verts = [list(v) for v in verts]
+    ds = [field.reduce(d) for d in ds]
+    for da, db in zip(ds, ds[1:]):
+        if algebra.element_matmul(db, da).any():
+            raise AssertionError("differentials do not compose to zero")
     while True:
-        pivot = None
-        for r, tv in enumerate(deg0):
-            for col, sv in enumerate(deg1):
-                if tv == sv and alg.is_local_unit(d[r, col], tv):
-                    pivot = (r, col, tv)
-                    break
-            if pivot:
-                break
+        pivot = next(((k, r, c) for k, d in enumerate(ds)
+                      for r, tv in enumerate(verts[k + 1])
+                      for c, sv in enumerate(verts[k])
+                      if tv == sv and algebra.is_local_unit(d[r, c], tv)), None)
         if pivot is None:
-            break
-        r, col, v = pivot
-        uinv = alg.local_inverse(d[r, col], v)
-        keep_r = [i for i in range(len(deg0)) if i != r]
-        keep_c = [j for j in range(len(deg1)) if j != col]
-        nd = np.zeros((len(keep_r), len(keep_c), alg.dim), dtype=np.int64)
-        for ii, i in enumerate(keep_r):
-            mu = alg.multiply(d[i, col], uinv)
-            for jj, j in enumerate(keep_c):
-                nd[ii, jj] = (d[i, j] - alg.multiply(mu, d[r, j])) % field.p
-        deg0 = [deg0[i] for i in keep_r]
-        deg1 = [deg1[j] for j in keep_c]
-        d = nd
-    return TwoTermComplex(alg, deg1, deg0, d, check=False)
+            return verts, ds
+        k, r, c = pivot
+        d = ds[k]
+        uinv = algebra.local_inverse(d[r, c], verts[k + 1][r])
+        mu = algebra.element_matmul(d[:, c:c + 1], uinv.reshape(1, 1, -1))
+        d = (d - algebra.element_matmul(mu, d[r:r + 1])) % field.p
+        ds[k] = np.delete(np.delete(d, r, axis=0), c, axis=1)
+        if k > 0:
+            ds[k - 1] = np.delete(ds[k - 1], c, axis=0)
+        if k + 1 < len(ds):
+            ds[k + 1] = np.delete(ds[k + 1], r, axis=1)
+        del verts[k][c], verts[k + 1][r]
+
+
+def minimalize(c: TwoTermComplex) -> TwoTermComplex:
+    """Strip contractible summands by unit elimination."""
+    (deg1, deg0), (d,) = eliminate_units(c.algebra, [c.deg1, c.deg0], [c.d])
+    return TwoTermComplex(c.algebra, deg1, deg0, d, check=False)
 
 
 # -- complexes as modules over the triangular algebra -------------------------
@@ -291,8 +254,19 @@ def minimalize(c: TwoTermComplex) -> TwoTermComplex:
 def triangular_algebra(algebra):
     """The lower triangular matrix algebra of A, as a bound quiver algebra.
     Vertices 1..n are the degree -1 layer, n+1..2n the degree 0 layer, with
-    a connecting arrow per vertex and commutation relations."""
+    a connecting arrow per vertex and commutation relations.  It has
+    dimension 3d for A of dimension d, so the bounds on the prime are
+    stated here in terms of d."""
     if "triangular" not in algebra._cache:
+        d, p = algebra.dim, algebra.field.p
+        if p <= 36 * d * d:
+            raise FieldTooSmallError(
+                f"p = {p} too small for two-term complexes over an algebra "
+                f"of dimension {d}: need p > 36 * {d}^2 = {36 * d * d}")
+        if algebra.field.max_terms < 3 * d:
+            raise PrimeTooLargeError(
+                f"p = {p} too large for two-term complexes over an algebra "
+                f"of dimension {d}: need {3 * d} * (p-1)^2 + (p-1) < 2^63")
         n = algebra.num_vertices
         quiver = algebra.quiver
         arrows = []
@@ -398,12 +372,9 @@ def nu_complex(c: TwoTermComplex) -> TwoTermComplex:
     each differential entry through the twisted automorphism."""
     alg = c.algebra
     perm, _ = selfinjective_data(alg)
-    moved = np.zeros_like(c.d)
-    for r in range(c.d.shape[0]):
-        for col in range(c.d.shape[1]):
-            moved[r, col] = nu_element(alg, c.d[r, col])
     return TwoTermComplex(alg, [perm[v] for v in c.deg1],
-                          [perm[v] for v in c.deg0], moved, check=False)
+                          [perm[v] for v in c.deg0], nu_element(alg, c.d),
+                          check=False)
 
 
 # -- silting and tilting -------------------------------------------------------

@@ -24,8 +24,15 @@ class NonAdmissibleError(TautiltError):
 
 
 class FieldTooSmallError(TautiltError):
-    """The prime is too small for the trace certificates used here; the
-    session requires p > 4 * dim(algebra)**2."""
+    """The prime is too small for the trace certificates used here: an
+    algebra of dimension d needs p > 4 * d**2, and its two-term complexes
+    p > 36 * d**2."""
+
+
+class PrimeTooLargeError(TautiltError):
+    """The prime is so large that sums of products of residues overflow
+    64-bit integers; an algebra of dimension d needs
+    d * (p-1)**2 + (p-1) < 2**63."""
 
 
 class AlgebraMismatchError(TautiltError):

@@ -6,15 +6,23 @@ arithmetic is exact and there are no tolerances anywhere in the package.
 The whole package uses the row convention: a linear map K^m -> K^n is an
 (m, n) matrix acting on row vectors by right multiplication, v |-> v @ f.
 Composition "f then g" is therefore the plain matrix product f @ g.
+
+Exactness in int64: a sum of n products of residues stays below 2^63 while
+n <= max_terms.  matmul splits longer inner dimensions into chunks of
+max_terms and reduces between chunks, so it is exact for every shape.  The
+algebra layer contracts element coordinates over one basis index at a time
+outside matmul, so an algebra of dimension d needs max_terms >= d; see
+check_exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import FieldTooSmallError
+from .errors import FieldTooSmallError, PrimeTooLargeError
 
 DEFAULT_PRIME = 32003
+INT64_MAX = 2**63 - 1
 
 
 def _is_prime(p: int) -> bool:
@@ -32,9 +40,16 @@ class PrimeField:
     """Arithmetic and Gaussian elimination over F_p."""
 
     def __init__(self, p: int = DEFAULT_PRIME):
+        p = int(p)
+        # how many products of two residues, plus one residue, fit in int64
+        self.max_terms = (INT64_MAX - (p - 1)) // max(p - 1, 1) ** 2
+        if self.max_terms < 1:
+            raise PrimeTooLargeError(
+                f"p = {p} too large: a product of two residues overflows "
+                "64-bit integers")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        self.p = int(p)
+        self.p = p
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -65,8 +80,15 @@ class PrimeField:
     # -- arithmetic -------------------------------------------------------
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # inner dimension * (p-1)^2 stays far below 2^63 at desk scale
-        return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % self.p
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        step = self.max_terms
+        if a.shape[-1] <= step:
+            return (a @ b) % self.p
+        out = 0
+        for s in range(0, a.shape[-1], step):
+            out = (out + a[..., s:s + step] @ b[s:s + step]) % self.p
+        return out
 
     def add(self, a, b) -> np.ndarray:
         return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
@@ -175,5 +197,16 @@ class PrimeField:
         play; the session-wide margin is p > 4 * dim**2."""
         if self.p <= 4 * dim * dim:
             raise FieldTooSmallError(
-                f"p = {self.p} too small for dimension {dim}: need p > {4 * dim * dim}"
+                f"p = {self.p} too small for an algebra of dimension {dim}: "
+                f"need p > {4 * dim * dim}"
+            )
+
+    def check_exact(self, dim: int):
+        """Contractions over the basis of an algebra of dimension dim sum
+        dim products of residues: they stay exact while
+        dim * (p-1)**2 + (p-1) < 2**63."""
+        if self.max_terms < dim:
+            raise PrimeTooLargeError(
+                f"p = {self.p} too large for an algebra of dimension {dim}: "
+                f"need {dim} * (p-1)^2 + (p-1) < 2^63"
             )

@@ -655,7 +655,8 @@ def decompose(m: Rep, rng=None) -> list:
                 out.extend(decompose(summand, rng))
             return out
         coeffs = rng.integers(0, field.p, size=len(ends))
-        blocks = {v: sum(int(c) * f.blocks[v] for c, f in zip(coeffs, ends)) % field.p
+        blocks = {v: sum(int(c) * f.blocks[v] % field.p
+                         for c, f in zip(coeffs, ends)) % field.p
                   for v in m.dims}
         candidates = [RepMap(m, m, blocks)]
     raise RandomnessExhaustedError(
@@ -757,7 +758,8 @@ def random_extension(m: Rep, n: Rep, rng=None) -> tuple:
     fs = hom_basis(ker, n)
     if fs:
         coeffs = rng.integers(0, field.p, size=len(fs))
-        phi = {v: sum(int(c) * f.blocks[v] for c, f in zip(coeffs, fs)) % field.p
+        phi = {v: sum(int(c) * f.blocks[v] % field.p
+                   for c, f in zip(coeffs, fs)) % field.p
                for v in ker.dims}
     else:
         phi = {v: field.zeros(ker.dims[v], n.dims[v]) for v in ker.dims}

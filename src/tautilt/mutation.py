@@ -3,17 +3,22 @@ enumeration of all of them by breadth-first mutation.
 
 Mutation at an indecomposable summand X of P = X + Q forms the cone over
 the universal left add(Q)-approximation of X, or dually the cocone over
-the universal right approximation.  The universal approximation is built
-from a full basis of maps modulo homotopy, so its cone carries extra
-add(Q) summands alongside the new indecomposable; those are stripped after
-reduction.  A cone is a three-term complex, and it reduces to a two-term
-one exactly when unit elimination empties the outer degree.  Exactly one
-of the two directions survives for each summand; anything else trips an
-internal assertion, as does a reduction with more than one new summand.
+the universal right approximation (Aihara-Iyama, J. LMS 2012).  The
+universal approximation is built from a full basis of maps modulo
+homotopy, so its cone carries extra add(Q) summands alongside the new
+indecomposable; those are stripped after reduction.  A cone is a
+three-term complex, and it reduces to a two-term one exactly when unit
+elimination (complexes.eliminate_units) empties the outer degree.
+Exactly one of the two directions survives for each summand; anything
+else trips an internal assertion, as does a reduction with more than one
+new summand.
 
-The enumeration walks the mutation graph from the stalk of the algebra,
-keyed by a registry of indecomposable complexes up to isomorphism, and
-records every edge.  Mutation is an involution, so each computed edge
+Two-term presilting complexes are determined by their g-vectors
+(Adachi-Iyama-Reiten, Compos. Math. 2014), and a minimal one has no
+vertex in both degrees, so its sorted vertex lists are its g-vector.  The
+enumeration walks the mutation graph from the stalk of the algebra,
+keyed by a registry of indecomposable complexes by g-vector, and records
+every edge.  Mutation is an involution, so each computed edge
 prepopulates its reverse.
 """
 
@@ -26,9 +31,9 @@ import numpy as np
 from .complexes import (
     TwoTermComplex,
     chain_maps_mod_homotopy,
-    complex_to_module,
     complexes_isomorphic,
     decompose_complex,
+    eliminate_units,
     hom_dim,
     nu_complex,
     projective_stalk,
@@ -36,83 +41,11 @@ from .complexes import (
     summand_classes,
     triangular_algebra,
 )
-from .errors import MutationAmbiguousError, NotSiltingError
-from .modules import _indec_iso
-
-
-def _reduce_pair(alg, va, vb, vc, da, db):
-    """Minimalise a three-term complex A -> B -> C given by element
-    matrices da: A -> B and db: B -> C, eliminating unit entries with the
-    induced updates on the neighbouring differential."""
-    p = alg.field.p
-    va, vb, vc = list(va), list(vb), list(vc)
-    da = da.copy() % p
-    db = db.copy() % p
-    while True:
-        hit = None
-        for r in range(len(vb)):
-            for c in range(len(va)):
-                if vb[r] == va[c] and alg.is_local_unit(da[r, c], vb[r]):
-                    hit = ("a", r, c)
-                    break
-            if hit:
-                break
-        if hit is None:
-            for r in range(len(vc)):
-                for c in range(len(vb)):
-                    if vc[r] == vb[c] and alg.is_local_unit(db[r, c], vc[r]):
-                        hit = ("b", r, c)
-                        break
-                if hit:
-                    break
-        if hit is None:
-            break
-        kind, r, c = hit
-        if kind == "a":
-            uinv = alg.local_inverse(da[r, c], vb[r])
-            for r2 in range(len(vb)):
-                if r2 == r or not da[r2, c].any():
-                    continue
-                mu = alg.multiply(da[r2, c], uinv)
-                for j in range(len(va)):
-                    da[r2, j] = (da[r2, j] - alg.multiply(mu, da[r, j])) % p
-                for i in range(len(vc)):
-                    db[i, r] = (db[i, r] + alg.multiply(db[i, r2], mu)) % p
-            for c2 in range(len(va)):
-                if c2 == c or not da[r, c2].any():
-                    continue
-                nu = alg.multiply(uinv, da[r, c2])
-                for i in range(len(vb)):
-                    da[i, c2] = (da[i, c2] - alg.multiply(da[i, c], nu)) % p
-            if db.size and db[:, r].any():
-                raise AssertionError("composition invariant broken in reduction")
-            va.pop(c)
-            vb.pop(r)
-            da = np.delete(np.delete(da, r, axis=0), c, axis=1)
-            db = np.delete(db, r, axis=1)
-        else:
-            uinv = alg.local_inverse(db[r, c], vc[r])
-            for c2 in range(len(vb)):
-                if c2 == c or not db[r, c2].any():
-                    continue
-                nu = alg.multiply(uinv, db[r, c2])
-                for i in range(len(vc)):
-                    db[i, c2] = (db[i, c2] - alg.multiply(db[i, c], nu)) % p
-                for j in range(len(va)):
-                    da[c, j] = (da[c, j] + alg.multiply(nu, da[c2, j])) % p
-            for r2 in range(len(vc)):
-                if r2 == r or not db[r2, c].any():
-                    continue
-                mu = alg.multiply(db[r2, c], uinv)
-                for j in range(len(vb)):
-                    db[r2, j] = (db[r2, j] - alg.multiply(mu, db[r, j])) % p
-            if da.size and da[c, :].any():
-                raise AssertionError("composition invariant broken in reduction")
-            vb.pop(c)
-            vc.pop(r)
-            db = np.delete(np.delete(db, r, axis=0), c, axis=1)
-            da = np.delete(da, c, axis=0)
-    return va, vb, vc, da, db
+from .errors import (
+    MutationAmbiguousError,
+    NotSiltingError,
+    TheoremViolationError,
+)
 
 
 def _left_candidate(x: TwoTermComplex, q_reps: list) -> TwoTermComplex | None:
@@ -136,7 +69,7 @@ def _left_candidate(x: TwoTermComplex, q_reps: list) -> TwoTermComplex | None:
         r1 += len(q.deg1)
         r0 += len(q.deg0)
     da[len(t1):] = (-x.d) % alg.field.p
-    va, vb, vc, da, db = _reduce_pair(alg, va, vb, vc, da, db)
+    (va, vb, vc), (_, db) = eliminate_units(alg, [va, vb, vc], [da, db])
     if va:
         return None
     return TwoTermComplex(alg, vb, vc, db, check=False)
@@ -163,22 +96,29 @@ def _right_candidate(x: TwoTermComplex, q_reps: list) -> TwoTermComplex | None:
         r1 += len(q.deg1)
         r0 += len(q.deg0)
     db[:, len(t0):] = (-x.d) % alg.field.p
-    va, vb, vc, da, db = _reduce_pair(alg, va, vb, vc, da, db)
+    (va, vb, vc), (da, _) = eliminate_units(alg, [va, vb, vc], [da, db])
     if vc:
         return None
     return TwoTermComplex(alg, va, vb, da, check=False)
 
 
+def g_vector_key(c: TwoTermComplex) -> tuple:
+    """(sorted deg -1 vertices, sorted deg 0 vertices).  On minimal
+    presilting complexes, which share no vertex between the degrees, this
+    is the g-vector, and it determines the complex up to isomorphism."""
+    return tuple(sorted(c.deg1)), tuple(sorted(c.deg0))
+
+
 def _extract_new(result: TwoTermComplex, x: TwoTermComplex,
                  q_reps: list, rng) -> TwoTermComplex:
-    parts = decompose_complex(result, rng)
-    new = [s for s in parts
-           if not any(complexes_isomorphic(s, q) for q in q_reps)]
+    fixed = {g_vector_key(q) for q in q_reps}
+    new = [s for s in decompose_complex(result, rng)
+           if g_vector_key(s) not in fixed]
     if len(new) != 1:
         raise MutationAmbiguousError(
             f"mutation produced {len(new)} summands outside the fixed part"
         )
-    if complexes_isomorphic(new[0], x):
+    if g_vector_key(new[0]) == g_vector_key(x):
         raise MutationAmbiguousError("mutation reproduced the mutated summand")
     return new[0]
 
@@ -216,25 +156,27 @@ def mutate_silting(c: TwoTermComplex, index: int, rng=None) -> TwoTermComplex:
 
 
 class ComplexRegistry:
-    """Indecomposable two-term complexes up to isomorphism, with stable
-    integer ids in insertion order."""
+    """Indecomposable minimal presilting complexes keyed by g-vector, with
+    stable integer ids in insertion order.  The first lookup that lands on
+    an existing item is cross-checked by an isomorphism test."""
 
     def __init__(self, algebra):
         self.algebra = algebra
         self.items: list[TwoTermComplex] = []
-        self._modules = []
-        self._buckets: dict = {}
+        self._ids: dict = {}
+        self._confirmed: set = set()
 
     def get_or_insert(self, c: TwoTermComplex) -> int:
-        key = (tuple(sorted(c.deg1)), tuple(sorted(c.deg0)))
-        mod = complex_to_module(c)
-        for i in self._buckets.get(key, []):
-            if _indec_iso(self._modules[i], mod):
-                return i
-        i = len(self.items)
-        self.items.append(c)
-        self._modules.append(mod)
-        self._buckets.setdefault(key, []).append(i)
+        key = g_vector_key(c)
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.items)
+            self.items.append(c)
+        elif i not in self._confirmed:
+            if not complexes_isomorphic(self.items[i], c):
+                raise TheoremViolationError(
+                    "two complexes with one g-vector are not isomorphic")
+            self._confirmed.add(i)
         return i
 
     def __len__(self):

@@ -130,7 +130,7 @@ def parse_element(algebra: BoundQuiverAlgebra, text: str) -> np.ndarray:
                 part = algebra.element_from_path(names)
             except (KeyError, ValueError) as exc:
                 raise ParseError(str(exc)) from exc
-        total = (total + coeff * part) % algebra.field.p
+        total = (total + coeff % algebra.field.p * part) % algebra.field.p
     return total
 
 

@@ -36,13 +36,7 @@ from .modules import (
 def _op_transposed(algebra, e: np.ndarray) -> np.ndarray:
     """Opposite element matrix of an element matrix: transpose the shape
     and apply the anti-isomorphism entrywise."""
-    rows, cols = e.shape[0], e.shape[1]
-    op = algebra.opposite()
-    out = np.zeros((cols, rows, op.dim), dtype=np.int64)
-    for r in range(rows):
-        for c in range(cols):
-            out[c, r] = algebra.op_element(e[r, c])
-    return out
+    return algebra.op_element(e).transpose(1, 0, 2)
 
 
 def cokernel(f) -> Rep:
@@ -147,8 +141,11 @@ def nu_matrix(algebra) -> np.ndarray:
 
 
 def nu_element(algebra, x: np.ndarray) -> np.ndarray:
-    return algebra.field.matmul(
-        algebra.field.reduce(x).reshape(1, -1), nu_matrix(algebra))[0]
+    """The twisted automorphism applied to an element, or to every entry
+    of an array of elements of shape (..., dim)."""
+    x = algebra.field.reduce(x)
+    return algebra.field.matmul(x.reshape(-1, algebra.dim),
+                                nu_matrix(algebra)).reshape(x.shape)
 
 
 def nu_module(m: Rep) -> Rep:
@@ -157,12 +154,8 @@ def nu_module(m: Rep) -> Rep:
     alg = m.algebra
     perm, _ = selfinjective_data(alg)
     verts1, verts0, e = minimal_presentation(m)
-    moved = np.zeros_like(e)
-    for r in range(e.shape[0]):
-        for c in range(e.shape[1]):
-            moved[r, c] = nu_element(alg, e[r, c])
     induced = elements_to_repmap(alg, [perm[v] for v in verts1],
-                                 [perm[v] for v in verts0], moved)
+                                 [perm[v] for v in verts0], nu_element(alg, e))
     return cokernel(induced)
 
 

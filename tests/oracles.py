@@ -57,6 +57,21 @@ def gauss_rank(rows: list, p: int) -> int:
     return rank
 
 
+def largest_exact_prime(dim: int) -> int:
+    """Largest prime p with dim * (p-1)^2 + (p-1) < 2^63: the largest
+    coefficient prime the package accepts for an algebra of dimension dim,
+    worked out in Python integers."""
+    from math import isqrt
+
+    from sympy import prevprime
+
+    limit = 2**63 - 1
+    p = prevprime(isqrt(limit // dim) + 2)
+    while dim * (p - 1) ** 2 + (p - 1) > limit:
+        p = prevprime(p)
+    return p
+
+
 def brute_hom_dim(m: Rep, n: Rep) -> int:
     """Dimension of Hom(m, n) by writing out every linear condition
     entry by entry."""
@@ -91,6 +106,84 @@ def brute_hom_dim(m: Rep, n: Rep) -> int:
     if not rows:
         return total
     return total - gauss_rank(rows, p)
+
+
+# -- complex hom oracle -----------------------------------------------------------
+
+
+def _entry_product(alg, x, y) -> list:
+    """Product of two algebra elements, term by term over the table."""
+    out = [0] * alg.dim
+    for i in np.nonzero(x)[0]:
+        for j in np.nonzero(y)[0]:
+            for m in np.nonzero(alg.mult_table[i, j])[0]:
+                out[m] += int(x[i]) * int(y[j]) * int(alg.mult_table[i, j, m])
+    return out
+
+
+def brute_complex_hom_dim(p, q, shift: int = 0) -> int:
+    """Dimension of Hom(p, q[shift]) in the homotopy category of two-term
+    complexes, by pushing every coordinate unit through the chain-map and
+    homotopy conditions one entry at a time."""
+    alg = p.algebra
+    prime = alg.field.p
+    if abs(shift) >= 2:
+        return 0
+
+    def space(tverts, sverts):
+        return [(r, c, k) for r, tv in enumerate(tverts)
+                for c, sv in enumerate(sverts)
+                for k in alg.slice_indices(tv, sv)]
+
+    def product(a, b):
+        out = [[[0] * alg.dim for _ in range(b.shape[1])]
+               for _ in range(a.shape[0])]
+        for r in range(a.shape[0]):
+            for c in range(b.shape[1]):
+                for k in range(a.shape[1]):
+                    for m, v in enumerate(_entry_product(alg, a[r, k], b[k, c])):
+                        out[r][c][m] += v
+        return out
+
+    def images(tverts, sverts, maps):
+        """One row per unit of space(tverts, sverts): the images under each
+        (map, target space) in maps, concatenated."""
+        rows = []
+        for r, c, k in space(tverts, sverts):
+            unit = np.zeros((len(tverts), len(sverts), alg.dim), dtype=np.int64)
+            unit[r, c, k] = 1
+            row = []
+            for fn, target in maps:
+                img = fn(unit)
+                row += [img[i][j][m] % prime for i, j, m in target]
+            rows.append(row)
+        return rows
+
+    def left(a):
+        return lambda x: product(a, x)
+
+    def right(b):
+        return lambda x: product(x, b)
+
+    def neg(fn):
+        return lambda x: [[[-v for v in e] for e in row] for row in fn(x)]
+
+    if shift == 1:
+        target = space(q.deg0, p.deg1)
+        rows = (images(q.deg0, p.deg0, [(right(p.d), target)])
+                + images(q.deg1, p.deg1, [(left(q.d), target)]))
+        return len(target) - gauss_rank(rows, prime)
+    if shift == -1:
+        rows = images(q.deg1, p.deg0, [(right(p.d), space(q.deg1, p.deg1)),
+                                       (left(q.d), space(q.deg0, p.deg0))])
+        return len(space(q.deg1, p.deg0)) - gauss_rank(rows, prime)
+    out = space(q.deg0, p.deg1)
+    cond = (images(q.deg1, p.deg1, [(left(q.d), out)])
+            + images(q.deg0, p.deg0, [(neg(right(p.d)), out)]))
+    chain_maps = len(cond) - gauss_rank(cond, prime)
+    homotopies = images(q.deg1, p.deg0, [(right(p.d), space(q.deg1, p.deg1)),
+                                         (left(q.d), space(q.deg0, p.deg0))])
+    return chain_maps - gauss_rank(homotopies, prime)
 
 
 # -- translate oracles ------------------------------------------------------------

@@ -3,10 +3,20 @@ path-counting, multiplication identities, the opposite algebra."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import nextprime
 
 from tautilt.algebra import Arrow, Quiver, RadicalPower, Relation, build_algebra
-from tautilt.errors import MixedEndpointsError, NonAdmissibleError
+from tautilt.errors import (
+    MixedEndpointsError,
+    NonAdmissibleError,
+    PrimeTooLargeError,
+)
 from tautilt.field import PrimeField
+from tautilt.textio import parse_algebra_file
+
+import oracles
+from conftest import DATA
 
 
 def test_dimensions_by_path_count(nak6, nak4, prep3, a2, one_vertex):
@@ -124,3 +134,58 @@ def test_element_matmul_matches_multiply(nak6, rng):
         for c in range(2):
             manual = sum(nak6.multiply(e[r, k], f[k, c]) for k in range(2))
             assert (prod[r, c] == manual % nak6.field.p).all()
+
+
+# preproj_a3 (dimension 10, relations with coefficient -1) at the largest
+# prime the parser accepts for it
+BIG = parse_algebra_file(str(DATA / "preproj_a3.alg"),
+                         oracles.largest_exact_prime(10))
+
+
+def _reference_product(alg, x, y) -> list:
+    """sum_ij x_i y_j table[i, j] in Python integers."""
+    p = alg.field.p
+    table = alg.mult_table.tolist()
+    return [sum(x[i] * y[j] * table[i][j][m]
+                for i in range(alg.dim) for j in range(alg.dim)) % p
+            for m in range(alg.dim)]
+
+
+def _elements(alg, count):
+    entry = st.integers(min_value=0, max_value=alg.field.p - 1)
+    return st.lists(st.lists(entry, min_size=alg.dim, max_size=alg.dim),
+                    min_size=count, max_size=count)
+
+
+def test_parser_rejects_primes_past_the_int64_bound():
+    path = str(DATA / "preproj_a3.alg")
+    assert BIG.field.p == oracles.largest_exact_prime(10)
+    for p in (nextprime(BIG.field.p), 2**31 - 1, 4294967291):
+        with pytest.raises(PrimeTooLargeError):
+            parse_algebra_file(path, p)
+
+
+@given(_elements(BIG, 2))
+@settings(max_examples=40, deadline=None)
+def test_multiply_exact_at_largest_prime(xy):
+    x, y = xy
+    got = BIG.multiply(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64))
+    assert got.tolist() == _reference_product(BIG, x, y)
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_element_matmul_exact_at_largest_prime(data):
+    r, k, c = (data.draw(st.integers(min_value=1, max_value=3)) for _ in range(3))
+    a = data.draw(_elements(BIG, r * k))
+    b = data.draw(_elements(BIG, k * c))
+    got = BIG.element_matmul(np.array(a, dtype=np.int64).reshape(r, k, -1),
+                             np.array(b, dtype=np.int64).reshape(k, c, -1))
+    p = BIG.field.p
+    for i in range(r):
+        for j in range(c):
+            want = [0] * BIG.dim
+            for t in range(k):
+                prod = _reference_product(BIG, a[i * k + t], b[t * c + j])
+                want = [(u + v) % p for u, v in zip(want, prod)]
+            assert got[i, j].tolist() == want

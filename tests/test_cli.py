@@ -4,8 +4,12 @@ and determinism."""
 import json
 
 import pytest
+from sympy import nextprime
 
 from tautilt.cli import main
+from tautilt.textio import parse_algebra_text
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -167,3 +171,62 @@ def test_bad_module_expression(capsys, data_dir):
     code, _, err = run(capsys, "check", str(data_dir / "a2.alg"), "S(9)",
                        "--pverts", "2")
     assert code == 2
+
+
+def _cyclic_nakayama_text(n, loewy):
+    arrows = "\n".join(f"arrow a{v} {v} -> {v % n + 1}" for v in range(1, n + 1))
+    return f"vertices {n}\n{arrows}\nrelations:\nradical^{loewy}\n"
+
+
+def test_dimension_limit_in_user_terms(capsys, tmp_path):
+    text = _cyclic_nakayama_text(7, 5)
+    assert parse_algebra_text(text).dim == 35
+    path = tmp_path / "nakayama7.alg"
+    path.write_text(text)
+    code, out, _ = run(capsys, "info", str(path))
+    assert code == 0 and "dimension: 35" in out
+    code, _, err = run(capsys, "enumerate", str(path))
+    assert code == 2
+    assert "dimension 35" in err and "44100" in err and "--field-p" in err
+    assert "105" not in err
+
+
+def test_prime_too_large_is_input_error(capsys, data_dir):
+    alg = str(data_dir / "nakayama4.alg")
+    code, _, err = run(capsys, "enumerate", alg, "--field-p", "4294967291")
+    assert code == 2
+    assert "too large" in err and "--field-p" in err
+    code, _, err = run(capsys, "info", str(data_dir / "preproj_a3.alg"),
+                       "--field-p", str(2**31 - 1))
+    assert code == 2
+    assert "dimension 10" in err
+
+
+def test_enumerate_at_largest_accepted_prime(capsys, data_dir):
+    # complexes work in the triangular algebra, of dimension 3 * 12
+    alg = str(data_dir / "nakayama4.alg")
+    big = oracles.largest_exact_prime(36)
+    code, out, _ = run(capsys, "enumerate", alg, "--field-p", str(big))
+    assert code == 0
+    code, _, err = run(capsys, "enumerate", alg,
+                       "--field-p", str(nextprime(big)))
+    assert code == 2 and "dimension 12" in err
+    golden = (data_dir / "golden" / "enumerate_nakayama4_silting.stdout")
+    expect = json.loads(golden.read_text())
+    doc = json.loads(out)
+    assert doc["algebra"]["p"] == big
+    assert doc["entries"] == expect["entries"]
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("enumerate", "nakayama4.alg", "--filter", "silting"),
+     "enumerate_nakayama4_silting.stdout"),
+    (("enumerate", "preproj_a3.alg", "--filter", "silting"),
+     "enumerate_preproj_a3_silting.stdout"),
+    (("report-2cy", "nakayama4.alg"), "report-2cy_nakayama4.stdout"),
+])
+def test_stdout_matches_golden(capsys, data_dir, argv, golden):
+    command, name, *rest = argv
+    code, out, _ = run(capsys, command, str(data_dir / name), *rest)
+    assert code == 0
+    assert out.encode() == (data_dir / "golden" / golden).read_bytes()

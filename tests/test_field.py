@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tautilt.field import DEFAULT_PRIME, PrimeField
-from tautilt.errors import FieldTooSmallError
+from tautilt.errors import FieldTooSmallError, PrimeTooLargeError
+
+import oracles
 
 F = PrimeField(97)
 
@@ -103,3 +105,36 @@ def test_trace_bound_rejects_small_fields():
 def test_field_equality_by_prime():
     assert PrimeField(97) == PrimeField(97)
     assert PrimeField(97) != PrimeField(32003)
+
+
+# the largest prime whose residue products fit in int64: matmul must then
+# split every inner dimension into single terms
+TOP = PrimeField(oracles.largest_exact_prime(1))
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_matmul_exact_at_largest_prime(data):
+    p = TOP.p
+    r, n, c = (data.draw(st.integers(min_value=1, max_value=6)) for _ in range(3))
+    entry = st.integers(min_value=0, max_value=p - 1)
+    a = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                           min_size=r, max_size=r))
+    b = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                           min_size=n, max_size=n))
+    got = TOP.matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    want = [[sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(c)]
+            for i in range(r)]
+    assert got.tolist() == want
+    top = np.full((2, 6), p - 1, dtype=np.int64)
+    assert (TOP.matmul(top, top.T) == 6 % p).all()
+
+
+def test_prime_size_bounds():
+    assert TOP.max_terms == 1
+    with pytest.raises(PrimeTooLargeError):
+        PrimeField(4294967291)
+    field = PrimeField(oracles.largest_exact_prime(12))
+    field.check_exact(12)
+    with pytest.raises(PrimeTooLargeError):
+        field.check_exact(13)

@@ -6,18 +6,25 @@ import numpy as np
 import pytest
 
 from tautilt.complexes import (
+    TwoTermComplex,
     complexes_isomorphic,
+    hom_dim,
     presentation_complex,
     projective_stalk,
     sum_complexes,
     summand_classes,
 )
-from tautilt.errors import NotSiltingError
+from tautilt.errors import NotSiltingError, TheoremViolationError
 from tautilt.modules import simple
 from tautilt.mutation import (
+    ComplexRegistry,
     enumerate_two_term_silting,
+    g_vector_key,
     mutate_silting,
 )
+from tautilt.translate import is_selfinjective
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -136,3 +143,66 @@ def test_cap_truncates(nak4):
     r = enumerate_two_term_silting(nak4, cap=10)
     assert r.status == "TRUNCATED"
     assert 10 < len(r.nodes) < 50  # stopped past the cap, well short of all
+
+
+@pytest.fixture(scope="module")
+def recorded(a2, nak4, prep3):
+    """Walks whose registries record every lookup, Nakayama images
+    included on selfinjective algebras: name -> (run, [(complex, id)])."""
+    lookups = {}
+    original = ComplexRegistry.get_or_insert
+
+    def recording(registry, c):
+        i = original(registry, c)
+        lookups.setdefault(id(registry), []).append((c, i))
+        return i
+
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ComplexRegistry, "get_or_insert", recording)
+        for name, alg in (("a2", a2), ("nak4", nak4), ("prep3", prep3)):
+            run = enumerate_two_term_silting(alg)
+            if is_selfinjective(alg):
+                for node in run.nodes:
+                    run.is_node_nu_stable(node)
+            out[name] = (run, lookups[id(run.registry)])
+    return out
+
+
+def test_registry_keys_are_g_vectors(recorded):
+    # Adachi-Iyama-Reiten: g-vectors determine two-term presilting
+    # complexes, and minimal ones share no vertex between the degrees
+    for name, (run, lookups) in recorded.items():
+        items = run.registry.items
+        keys = [g_vector_key(c) for c in items]
+        assert len(set(keys)) == len(items), name
+        for c in items:
+            assert not set(c.deg1) & set(c.deg0), name
+        assert len(lookups) > len(items), name
+        for c, i in lookups:
+            for j, item in enumerate(items):
+                same_key = g_vector_key(c) == keys[j]
+                assert same_key == (i == j), name
+                assert same_key == complexes_isomorphic(c, item), name
+
+
+def test_registry_cross_checks_its_first_hit(a2):
+    registry = ComplexRegistry(a2)
+    pres = presentation_complex(simple(a2, 1))
+    assert registry.get_or_insert(pres) == 0
+    # P(2) -> P(1) with zero differential has the same degrees but splits
+    split = TwoTermComplex(a2, pres.deg1, pres.deg0, None)
+    with pytest.raises(TheoremViolationError):
+        registry.get_or_insert(split)
+    assert registry.get_or_insert(pres) == 0
+    assert len(registry) == 1
+
+
+def test_complex_hom_dim_against_brute_force(runs):
+    for name in ("nak4", "prep3"):
+        items = runs[name].registry.items
+        for p in items:
+            for q in items:
+                for shift in (-1, 0, 1):
+                    assert hom_dim(p, q, shift) == \
+                        oracles.brute_complex_hom_dim(p, q, shift), name
