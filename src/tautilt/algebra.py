@@ -56,9 +56,6 @@ class Quiver:
     def arrows_from(self, v: int) -> list[int]:
         return [i for i, a in enumerate(self.arrows) if a.source == v]
 
-    def arrows_into(self, v: int) -> list[int]:
-        return [i for i, a in enumerate(self.arrows) if a.target == v]
-
     def __repr__(self):
         return f"Quiver({self.num_vertices} vertices, {len(self.arrows)} arrows)"
 

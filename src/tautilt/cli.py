@@ -206,13 +206,12 @@ def _enumeration_entries(algebra, args):
     """(status, list of (pair, complex)) for the requested filter."""
     selfinj = is_selfinjective(algebra)
     if args.filter == "nu-stable":
-        pe = enumerate_nu_stable(algebra, args.cap, args.seed, args.threads)
+        pe = enumerate_nu_stable(algebra, args.cap, args.seed)
         withnodes = sorted(pe.node_index.items(), key=lambda kv: kv[1])
         rows = [(pe.pairs[idx], pe.silting.node_complex(node), True, node)
                 for node, idx in withnodes]
         return pe.status, pe.silting, rows, selfinj
-    pe = enumerate_support_tau_tilting(algebra, args.cap, args.seed,
-                                       args.threads)
+    pe = enumerate_support_tau_tilting(algebra, args.cap, args.seed)
     rows = []
     for node, idx in sorted(pe.node_index.items(), key=lambda kv: kv[1]):
         tilting = pe.silting.is_node_tilting(node)
@@ -259,8 +258,7 @@ def cmd_report_2cy(args) -> int:
     from .pairs import two_cy_obstruction_report
 
     algebra = parse_algebra_file(args.algebra, args.field_p)
-    report = two_cy_obstruction_report(algebra, args.cap, args.seed,
-                                       args.threads)
+    report = two_cy_obstruction_report(algebra, args.cap, args.seed)
     doc = {
         "algebra": algebra_json(algebra),
         "checks": report.checks,
@@ -284,7 +282,6 @@ def _add_common(sub, enumerating: bool):
         sub.add_argument("--cap", type=int, default=10000,
                          help="stop after this many items")
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

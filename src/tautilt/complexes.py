@@ -34,8 +34,6 @@ from .modules import (
     RepMap,
     decompose,
     elements_to_repmap,
-    hom_dim as module_hom_dim,
-    is_indecomposable,
     minimal_presentation,
     projective_cover,
     quotient_rep,
@@ -343,10 +341,6 @@ def decompose_complex(c: TwoTermComplex, rng=None) -> list:
             for s in decompose(complex_to_module(c), rng)]
 
 
-def is_indecomposable_complex(c: TwoTermComplex) -> bool:
-    return is_indecomposable(complex_to_module(c))
-
-
 def complexes_isomorphic(p: TwoTermComplex, q: TwoTermComplex) -> bool:
     """Isomorphism in the homotopy category.  Both inputs must be minimal,
     which enumeration and minimalize guarantee; minimal complexes are
@@ -356,12 +350,6 @@ def complexes_isomorphic(p: TwoTermComplex, q: TwoTermComplex) -> bool:
     from .modules import are_isomorphic
 
     return are_isomorphic(complex_to_module(p), complex_to_module(q))
-
-
-def complex_end_dim(c: TwoTermComplex) -> int:
-    """Dimension of the chain endomorphism ring, before homotopies."""
-    m = complex_to_module(c)
-    return module_hom_dim(m, m)
 
 
 # -- the Nakayama functor on complexes ----------------------------------------

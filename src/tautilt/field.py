@@ -96,9 +96,6 @@ class PrimeField:
     def sub(self, a, b) -> np.ndarray:
         return (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.p
 
-    def scale(self, c: int, a) -> np.ndarray:
-        return (int(c) % self.p) * np.asarray(a, dtype=np.int64) % self.p
-
     # -- elimination ------------------------------------------------------
 
     def rref(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:

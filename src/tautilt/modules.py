@@ -16,8 +16,6 @@ is the ordinary matrix product over the algebra.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .errors import (
@@ -25,8 +23,6 @@ from .errors import (
     RandomnessExhaustedError,
     ZeroModuleError,
 )
-
-_SYMPY_LOCK = threading.Lock()
 
 
 def _check_same(*objs):
@@ -141,15 +137,6 @@ class RepMap:
     def is_zero(self) -> bool:
         return not any(b.any() for b in self.blocks.values())
 
-    def is_module_map(self) -> bool:
-        field = self.src.algebra.field
-        for a in self.src.algebra.quiver.arrows:
-            lhs = field.matmul(self.src.maps[a.name], self.blocks[a.target])
-            rhs = field.matmul(self.blocks[a.source], self.tgt.maps[a.name])
-            if (lhs != rhs).any():
-                return False
-        return True
-
     def is_iso(self) -> bool:
         field = self.src.algebra.field
         return all(b.shape[0] == b.shape[1] and field.is_invertible(b)
@@ -228,17 +215,6 @@ def direct_sum(algebra, reps: list) -> tuple:
             m[rs:rs + blk.shape[0], cs:cs + blk.shape[1]] = blk
         maps[a.name] = m
     return Rep(algebra, dims, maps, check=False), offsets
-
-
-def summand_inclusion(total: Rep, reps: list, offsets: list, i: int) -> RepMap:
-    field = total.algebra.field
-    blocks = {}
-    for v in total.dims:
-        b = field.zeros(reps[i].dims[v], total.dims[v])
-        o = offsets[i][v]
-        b[:, o:o + reps[i].dims[v]] = field.identity(reps[i].dims[v])
-        blocks[v] = b
-    return RepMap(reps[i], total, blocks)
 
 
 def dual(m: Rep) -> Rep:
@@ -598,24 +574,23 @@ def _splitting_idempotent(m: Rep, u: RepMap):
     if not blocks:
         return None
     coeffs = _min_poly_coeffs(blocks, field)
-    with _SYMPY_LOCK:  # sympy's global cache is not safe under threads
-        x = sympy.Symbol("x")
-        poly = sympy.Poly(list(reversed(coeffs)), x, modulus=p)
-        _, factors = poly.factor_list()
-        if len(factors) < 2:
-            return None
-        factors = sorted(factors, key=lambda fm: (fm[0].degree(), str(fm[0])))
-        f1 = factors[0][0] ** factors[0][1]
-        f2 = sympy.Poly(1, x, modulus=p)
-        for fac, mult in factors[1:]:
-            f2 = f2 * fac ** mult
-        s, t, h = f1.gcdex(f2)
-        if h.degree() != 0:
-            raise AssertionError("complementary factors are not coprime")
-        # on ker f1(u) the combination t*f2 acts as 1, on ker f2(u) as 0
-        hinv = field.inv_scalar(int(h.all_coeffs()[-1]))
-        proj_poly = t * f2
-        pcoeffs = [int(c) * hinv % p for c in reversed(proj_poly.all_coeffs())]
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(coeffs)), x, modulus=p)
+    _, factors = poly.factor_list()
+    if len(factors) < 2:
+        return None
+    factors = sorted(factors, key=lambda fm: (fm[0].degree(), str(fm[0])))
+    f1 = factors[0][0] ** factors[0][1]
+    f2 = sympy.Poly(1, x, modulus=p)
+    for fac, mult in factors[1:]:
+        f2 = f2 * fac ** mult
+    s, t, h = f1.gcdex(f2)
+    if h.degree() != 0:
+        raise AssertionError("complementary factors are not coprime")
+    # on ker f1(u) the combination t*f2 acts as 1, on ker f2(u) as 0
+    hinv = field.inv_scalar(int(h.all_coeffs()[-1]))
+    proj_poly = t * f2
+    pcoeffs = [int(c) * hinv % p for c in reversed(proj_poly.all_coeffs())]
     eps_blocks = _poly_eval(pcoeffs, {v: u.blocks[v] for v in u.blocks}, field)
     eps = RepMap(m, m, eps_blocks)
     ranks = sum(field.rank(b) for b in eps.blocks.values())

@@ -16,15 +16,19 @@ new summand.
 Two-term presilting complexes are determined by their g-vectors
 (Adachi-Iyama-Reiten, Compos. Math. 2014), and a minimal one has no
 vertex in both degrees, so its sorted vertex lists are its g-vector.  The
-enumeration walks the mutation graph from the stalk of the algebra,
-keyed by a registry of indecomposable complexes by g-vector, and records
-every edge.  Mutation is an involution, so each computed edge
-prepopulates its reverse.
+enumeration walks the mutation graph from the stalk of the algebra over a
+registry of indecomposable complexes keyed by g-vector, and records every
+edge in both directions.  By the same paper, P + Q is presilting exactly
+when Hom(P, Q[1]) = 0 = Hom(Q, P[1]), and an almost complete two-term
+presilting complex has exactly two completions.  So the edge at a summand
+X of a node is the one registered item outside the node that is
+compatible in this sense with the rest of it; a second such item is a
+TheoremViolationError.  Only when none is registered yet is the mutation
+computed, and its result is new, so the walk mutates once per
+indecomposable beyond the stalks it starts from.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,7 +43,6 @@ from .complexes import (
     projective_stalk,
     sum_complexes,
     summand_classes,
-    triangular_algebra,
 )
 from .errors import (
     MutationAmbiguousError,
@@ -223,52 +226,54 @@ class EnumerationResult:
         return frozenset(self.nu_id(i) for i in node) == node
 
 
-def enumerate_two_term_silting(algebra, cap: int = 10000, seed: int = 0,
-                               threads: int = 1) -> EnumerationResult:
-    """Breadth-first mutation walk from the stalk of the algebra."""
-    triangular_algebra(algebra)  # warm shared caches before any threading
+def find_completion(result: EnumerationResult, node, x: int) -> int | None:
+    """The registry item other than x that completes node - {x}, or None
+    when the registry does not hold it yet.  A candidate is any item outside
+    node with Hom(y, q[1]) = 0 = Hom(q, y[1]) for the rest q of the node;
+    an almost complete presilting complex has exactly two completions, so
+    a second candidate is a contradiction."""
+    rest = node - {x}
+    found = [y for y in range(len(result.registry)) if y not in node
+             and all(result.hom_shift(y, q, 1) == 0 == result.hom_shift(q, y, 1)
+                     for q in rest)]
+    if len(found) > 1:
+        raise TheoremViolationError(
+            f"{len(found)} registry items complete one almost complete "
+            "presilting complex")
+    return found[0] if found else None
+
+
+def enumerate_two_term_silting(algebra, cap: int = 10000,
+                               seed: int = 0) -> EnumerationResult:
+    """Breadth-first walk from the stalk of the algebra.  Each edge is
+    looked up in the registry; only an edge to an item not yet registered
+    runs a mutation, which then registers it."""
     registry = ComplexRegistry(algebra)
     start = frozenset(
         registry.get_or_insert(projective_stalk(algebra, [v]))
         for v in range(1, algebra.num_vertices + 1))
-    seen = {start}
-    order = [start]
+    result = EnumerationResult(algebra, registry, [start], {}, "COMPLETE")
     frontier = [start]
-    edges: dict = {}
-    cache: dict = {}
-    status = "COMPLETE"
-
-    def work(task):
-        node, x = task
-        qs = [registry.items[q] for q in sorted(node) if q != x]
-        return task, mutate_summand(registry.items[x], qs,
-                                    np.random.default_rng(seed))
-
     while frontier:
-        if len(order) > cap:
-            status = "TRUNCATED"
+        if len(result.nodes) > cap:
+            result.status = "TRUNCATED"
             break
-        tasks = []
-        for node in sorted(frontier, key=lambda nd: tuple(sorted(nd))):
-            for x in sorted(node):
-                if (node, x) not in cache:
-                    tasks.append((node, x))
-        if threads > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(work, tasks))
-        else:
-            results = [work(t) for t in tasks]
         nxt = []
-        for (node, x), y in results:
-            yid = registry.get_or_insert(y)
-            new_node = frozenset((node - {x}) | {yid})
-            cache[(node, x)] = new_node
-            cache[(new_node, yid)] = node
-            edges.setdefault(node, {})[x] = new_node
-            edges.setdefault(new_node, {})[yid] = node
-            if new_node not in seen:
-                seen.add(new_node)
-                order.append(new_node)
-                nxt.append(new_node)
+        for node in sorted(frontier, key=lambda nd: tuple(sorted(nd))):
+            fan = result.edges.setdefault(node, {})
+            for x in sorted(node):
+                if x in fan:
+                    continue
+                yid = find_completion(result, node, x)
+                if yid is None:
+                    qs = [registry.items[q] for q in sorted(node) if q != x]
+                    yid = registry.get_or_insert(mutate_summand(
+                        registry.items[x], qs, np.random.default_rng(seed)))
+                new_node = frozenset((node - {x}) | {yid})
+                fan[x] = new_node
+                if new_node not in result.edges:  # first edge into it
+                    result.nodes.append(new_node)
+                    nxt.append(new_node)
+                result.edges.setdefault(new_node, {})[yid] = node
         frontier = nxt
-    return EnumerationResult(algebra, registry, order, edges, status)
+    return result

@@ -8,6 +8,16 @@ and the summand count |X| + |P| reaches the number of vertices.  The
 correspondence with two-term silting complexes sends X to its minimal
 presentation and each named vertex to a shifted projective stalk.
 
+The enumerations read every fact about a node off tables kept per
+registry item or per pair of items.  Each item's cokernel X_i (its "top",
+kept in PairEnumeration.tops) is computed once, and the tops are checked
+once to be indecomposable and pairwise non-isomorphic.  Hom(X_i, tau X_j)
+is computed once for each pair of items that share a node, with each
+translate computed once, and the Nakayama image of each top is matched
+once to another top.  By Krull-Schmidt, a node is then tau-rigid when its
+pair table vanishes, and stable when the Nakayama functor permutes its
+tops.
+
 Several results carry a second, independently computed route, and any
 disagreement between routes raises TheoremViolationError: stability under
 the Nakayama functor against tilting complexes, tau-minus predicates
@@ -18,6 +28,7 @@ algebra out; a fully consistent report proves nothing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .complexes import (
@@ -77,25 +88,10 @@ class STPair:
         if len(self.modules) + len(self.pverts) > n:
             raise ValueError("more summands than the algebra has vertices")
 
-    def validate_basic(self) -> None:
-        """Check indecomposability and pairwise non-isomorphism; these are
-        deliberately not run on construction (they cost decompositions)."""
-        for m in self.modules:
-            if not is_indecomposable(m):
-                raise ValueError("a listed module is decomposable")
-        for i in range(len(self.modules)):
-            for j in range(i + 1, len(self.modules)):
-                if are_isomorphic(self.modules[i], self.modules[j]):
-                    raise ValueError("two listed modules are isomorphic")
-
     def module_sum(self) -> Rep:
         if not self.modules:
             return zero_module(self.algebra)
         return direct_sum(self.algebra, list(self.modules))[0]
-
-    def sort_key(self):
-        mods = sorted((m.total_dim, m.dim_vector()) for m in self.modules)
-        return (len(self.pverts), tuple(sorted(self.pverts)), tuple(mods))
 
 
 def make_pair(algebra, modules, pverts) -> STPair:
@@ -227,50 +223,77 @@ def _complex_to_pair_unchecked(c: TwoTermComplex, rng=None) -> STPair:
 @dataclass
 class PairEnumeration:
     """All basic support tau-tilting pairs reached by the silting walk,
-    aligned index-for-index with the silting nodes that produced them."""
+    aligned index-for-index with the silting nodes that produced them.
+    tops[i] is the cokernel of registry item i, None for a shifted stalk."""
 
     algebra: object
     pairs: list
     status: str
     silting: EnumerationResult
     node_index: dict = field(default_factory=dict)
+    tops: list = field(default_factory=list)
 
 
 def enumerate_support_tau_tilting(algebra, cap: int = 10000, seed: int = 0,
-                                  threads: int = 1,
                                   rng=None) -> PairEnumeration:
-    enum = enumerate_two_term_silting(algebra, cap, seed, threads)
+    enum = enumerate_two_term_silting(algebra, cap, seed)
+    items = enum.registry.items
+    tops = [item.h0() if item.deg0 else None for item in items]
+    modules = [m for m in tops if m is not None]
+    if not all(is_indecomposable(m) and not any(
+            are_isomorphic(m, other, rng) for other in modules[:k])
+            for k, m in enumerate(modules)):
+        raise TheoremViolationError(
+            "a silting summand has a decomposable or repeated top")
+    taus = [None if m is None else tau(m) for m in tops]
+
+    @functools.cache
+    def no_maps_to_tau(i, j):
+        return module_hom_dim(tops[i], taus[j]) == 0
+
     pairs = []
     node_index = {}
     for k, node in enumerate(enum.nodes):
-        pverts = []
-        mods = []
-        for i in sorted(node):
-            item = enum.registry.items[i]
-            if not item.deg0:
-                pverts.append(item.deg1[0])
-            else:
-                mods.append(item.h0())
-        pair = make_pair(algebra, mods, pverts)
-        pair.validate_basic()
-        if not is_support_tau_tilting_pair(pair, rng):
+        mods = [i for i in sorted(node) if tops[i] is not None]
+        pverts = [items[i].deg1[0] for i in sorted(node) if tops[i] is None]
+        if any(tops[i].dims[v] for i in mods for v in pverts) or not all(
+                no_maps_to_tau(i, j) for i in mods for j in mods):
             raise TheoremViolationError(
                 "a silting node transported to a non-tau-tilting pair"
             )
         node_index[node] = k
-        pairs.append(pair)
-    return PairEnumeration(algebra, pairs, enum.status, enum, node_index)
+        pairs.append(make_pair(algebra, [tops[i] for i in mods], pverts))
+    return PairEnumeration(algebra, pairs, enum.status, enum, node_index,
+                           tops)
 
 
 def enumerate_nu_stable(algebra, cap: int = 10000, seed: int = 0,
-                        threads: int = 1, rng=None) -> PairEnumeration:
+                        rng=None) -> PairEnumeration:
     """Stable pairs by two independent routes: filtering the pair
     enumeration by stability, and filtering the silting enumeration by the
-    tilting criterion.  The index sets must agree."""
-    selfinjective_data(algebra)
-    base = enumerate_support_tau_tilting(algebra, cap, seed, threads, rng)
-    by_stability = [k for k, pair in enumerate(base.pairs)
-                    if is_nu_stable_pair(pair, rng)]
+    tilting criterion.  The index sets must agree.  A pair is stable when
+    the Nakayama functor permutes the tops of its module part; the
+    complement vertices of a stable pair must then be closed under the
+    Nakayama permutation, which is asserted."""
+    perm = nakayama_permutation(algebra)
+    base = enumerate_support_tau_tilting(algebra, cap, seed, rng)
+    tops = base.tops
+    images = {i: nu_module(m) for i, m in enumerate(tops) if m is not None}
+    nu_of = {i: next((j for j in images
+                      if are_isomorphic(image, tops[j], rng)), None)
+             for i, image in images.items()}
+    by_stability = []
+    for k, node in enumerate(base.silting.nodes):
+        mods = {i for i in node if tops[i] is not None}
+        if {nu_of[i] for i in mods} != mods:
+            continue
+        pverts = base.pairs[k].pverts
+        if sorted(perm[v] for v in pverts) != sorted(pverts):
+            raise TheoremViolationError(
+                "stable module part with complement vertices not closed "
+                "under the Nakayama permutation"
+            )
+        by_stability.append(k)
     by_tilting = [k for k, node in enumerate(base.silting.nodes)
                   if base.silting.is_node_tilting(node)]
     if by_stability != by_tilting:
@@ -279,7 +302,8 @@ def enumerate_nu_stable(algebra, cap: int = 10000, seed: int = 0,
         )
     picked = [base.pairs[k] for k in by_stability]
     index = {base.silting.nodes[k]: i for i, k in enumerate(by_stability)}
-    return PairEnumeration(algebra, picked, base.status, base.silting, index)
+    return PairEnumeration(algebra, picked, base.status, base.silting, index,
+                           tops)
 
 
 # -- torsion classes ------------------------------------------------------------
@@ -342,7 +366,7 @@ CHECK_NU_TRANSLATE = "stable-pair-translate-symmetry"
 
 
 def two_cy_obstruction_report(algebra, cap: int = 10000, seed: int = 0,
-                              threads: int = 1, rng=None) -> ObstructionReport:
+                              rng=None) -> ObstructionReport:
     checks = {}
     details = []
     truncated = False
@@ -351,9 +375,9 @@ def two_cy_obstruction_report(algebra, cap: int = 10000, seed: int = 0,
     if checks[CHECK_GORENSTEIN] == "FAIL":
         details.append("the regular module has injective dimension above 1")
 
-    enum = enumerate_support_tau_tilting(algebra, cap, seed, threads, rng)
+    enum = enumerate_support_tau_tilting(algebra, cap, seed, rng)
     op_enum = enumerate_support_tau_tilting(algebra.opposite(), cap, seed,
-                                            threads, rng)
+                                            rng)
     truncated = enum.status == "TRUNCATED" or op_enum.status == "TRUNCATED"
 
     coincide = True

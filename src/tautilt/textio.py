@@ -281,6 +281,16 @@ def _quotient_of_projective(algebra, v: int, inner: str) -> Rep:
     return quo
 
 
+def _residues(literal, p: int):
+    """A nested list literal of integers with every entry reduced mod p as
+    a Python int, so entries of any size keep their exact residue."""
+    if isinstance(literal, (list, tuple)):
+        return [_residues(x, p) for x in literal]
+    if type(literal) is not int:
+        raise ParseError(f"rep literal entry {literal!r} is not an integer")
+    return literal % p
+
+
 def _rep_literal(algebra, body: str) -> Rep:
     dims = None
     maps = {}
@@ -297,20 +307,23 @@ def _rep_literal(algebra, body: str) -> Rep:
         except (SyntaxError, ValueError) as exc:
             raise ParseError(f"bad literal in {stmt!r}") from exc
         if head == "dims":
-            dims = list(literal)
+            dims = literal
         elif head.startswith("arrow "):
             maps[head[len("arrow "):].strip()] = literal
         else:
             raise ParseError(f"unknown rep key {head!r}")
-    if dims is None or len(dims) != algebra.num_vertices:
-        raise ParseError("rep literal needs dims with one entry per vertex")
+    n = algebra.num_vertices
+    if not isinstance(dims, (list, tuple)) or len(dims) != n or any(
+            type(d) is not int for d in dims):
+        raise ParseError("rep literal needs dims with one integer per vertex")
     p = algebra.field.p
-    dim_map = {v: int(dims[v - 1]) for v in range(1, algebra.num_vertices + 1)}
+    dim_map = dict(enumerate(dims, start=1))
     rep_maps = {}
     for a in algebra.quiver.arrows:
         shape = (dim_map[a.source], dim_map[a.target])
         if a.name in maps:
-            mat = np.array(maps[a.name], dtype=np.int64).reshape(shape) % p
+            mat = np.array(_residues(maps[a.name], p),
+                           dtype=np.int64).reshape(shape)
         else:
             mat = np.zeros(shape, dtype=np.int64)
         rep_maps[a.name] = mat

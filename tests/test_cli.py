@@ -173,6 +173,31 @@ def test_bad_module_expression(capsys, data_dir):
     assert code == 2
 
 
+def test_rep_literal_entries_are_exact_residues(capsys, data_dir):
+    alg = str(data_dir / "a2.alg")
+    huge = 10**20
+
+    def check(entry):
+        return run(capsys, "check", alg,
+                   f"rep{{ dims = [1,1]; arrow a = [[{entry}]]; }}",
+                   "--require", "tau-rigid", "--json")
+
+    got = check(huge)
+    assert got[0] == 0
+    assert got == check(huge % 32003)
+
+
+@pytest.mark.parametrize("literal", [
+    "rep{ dims = [1,1]; arrow a = [[1.5]]; }",
+    "rep{ dims = [1,1]; arrow a = [[True]]; }",
+    "rep{ dims = [1.7,1]; }",
+])
+def test_rep_literal_rejects_non_integers(capsys, data_dir, literal):
+    code, out, err = run(capsys, "check", str(data_dir / "a2.alg"), literal)
+    assert code == 2 and not out
+    assert "integer" in err
+
+
 def _cyclic_nakayama_text(n, loewy):
     arrows = "\n".join(f"arrow a{v} {v} -> {v % n + 1}" for v in range(1, n + 1))
     return f"vertices {n}\n{arrows}\nrelations:\nradical^{loewy}\n"

@@ -18,9 +18,12 @@ from tautilt.errors import NotSiltingError, TheoremViolationError
 from tautilt.modules import simple
 from tautilt.mutation import (
     ComplexRegistry,
+    EnumerationResult,
     enumerate_two_term_silting,
+    find_completion,
     g_vector_key,
     mutate_silting,
+    mutate_summand,
 )
 from tautilt.translate import is_selfinjective
 
@@ -124,19 +127,45 @@ def test_mutating_non_silting_raises(nak4):
         mutate_silting(junk, 0)
 
 
-def test_enumeration_deterministic_and_thread_stable(nak4):
+def test_enumeration_is_deterministic(nak4):
     one = enumerate_two_term_silting(nak4, seed=5)
     two = enumerate_two_term_silting(nak4, seed=5)
-    threaded = enumerate_two_term_silting(nak4, threads=2)
-    base = enumerate_two_term_silting(nak4)
 
     def profile(r):
         return sorted(sorted(r.node_complex(n).deg1) +
                       [-v for v in r.node_complex(n).deg0] for n in r.nodes)
 
     assert profile(one) == profile(two)
-    assert len(threaded.nodes) == len(base.nodes)
-    assert profile(threaded) == profile(base)
+
+
+def test_every_mutation_discovers_an_item(a2, nak4, prep3, monkeypatch):
+    # edges to registered items are looked up, so the walk mutates once
+    # per indecomposable beyond the n stalks it starts from
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return mutate_summand(*args, **kwargs)
+
+    monkeypatch.setattr("tautilt.mutation.mutate_summand", counting)
+    for alg in (a2, nak4, prep3):
+        calls.clear()
+        run = enumerate_two_term_silting(alg)
+        assert len(calls) == len(run.registry) - alg.num_vertices
+
+
+def test_three_completions_are_a_theorem_violation(a2, monkeypatch):
+    # an almost complete presilting complex has exactly two completions
+    # (Adachi-Iyama-Reiten); with every Hom(-, -[1]) forced to vanish the
+    # three items outside a node of the a2 walk all complete it
+    run = enumerate_two_term_silting(a2)
+    assert len(run.registry) == 5
+    start = run.nodes[0]
+    assert find_completion(run, start, min(start)) is not None
+    monkeypatch.setattr(EnumerationResult, "hom_shift",
+                        lambda self, i, j, shift: 0)
+    with pytest.raises(TheoremViolationError):
+        find_completion(run, start, min(start))
 
 
 def test_cap_truncates(nak4):
@@ -148,7 +177,9 @@ def test_cap_truncates(nak4):
 @pytest.fixture(scope="module")
 def recorded(a2, nak4, prep3):
     """Walks whose registries record every lookup, Nakayama images
-    included on selfinjective algebras: name -> (run, [(complex, id)])."""
+    included on selfinjective algebras: name -> (run, [(complex, id)]).
+    The walk decides edges by registry lookup, so every recorded edge is
+    also mutated and must land on the swapped-in item."""
     lookups = {}
     original = ComplexRegistry.get_or_insert
 
@@ -162,6 +193,13 @@ def recorded(a2, nak4, prep3):
         mp.setattr(ComplexRegistry, "get_or_insert", recording)
         for name, alg in (("a2", a2), ("nak4", nak4), ("prep3", prep3)):
             run = enumerate_two_term_silting(alg)
+            items = run.registry.items
+            for node, fan in run.edges.items():
+                for x, nbr in fan.items():
+                    qs = [items[q] for q in sorted(node) if q != x]
+                    (y,) = nbr - node
+                    got = mutate_summand(items[x], qs)
+                    assert run.registry.get_or_insert(got) == y, name
             if is_selfinjective(alg):
                 for node in run.nodes:
                     run.is_node_nu_stable(node)
