@@ -9,6 +9,7 @@ errors, 3 for truncated enumerations and internal assertion failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -228,6 +229,8 @@ def cmd_enumerate(args) -> int:
         raise NotSelfinjectiveError(
             "the nu-stable filter needs a selfinjective algebra")
     status, silting, rows, selfinj = _enumeration_entries(algebra, args)
+    # the pairs share one module object per registry item
+    expr = functools.cache(module_expr_string)
     entries = []
     for pair, c, tilting, node in rows:
         x = pair.module_sum()
@@ -236,7 +239,7 @@ def cmd_enumerate(args) -> int:
         else:
             stable = None
         entry = {
-            "modules": [module_expr_string(m) for m in pair.modules],
+            "modules": [expr(m) for m in pair.modules],
             "projective_vertices": sorted(pair.pverts),
             "complex": complex_json(c),
             "nu_stable": stable,

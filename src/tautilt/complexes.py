@@ -15,7 +15,10 @@ Isomorphism and direct sum decomposition are delegated to the module
 layer: a two-term complex is the same thing as a module over the
 triangular matrix algebra of A, where both questions are plain module
 questions and minimal complexes are homotopy equivalent exactly when they
-are isomorphic on the nose.
+are isomorphic on the nose.  Mutation needs neither: its minimal
+approximations yield indecomposables directly, so decomposition serves
+only summand_classes (the silting predicates and mutate_silting),
+complex_to_pair and the cross-checks.
 """
 
 from __future__ import annotations
@@ -125,6 +128,9 @@ class _Space:
             algebra.slice_mask(tverts, sverts))
         self.total = len(self.basis)
 
+    def flatten(self, e) -> np.ndarray:
+        return e[self.rows, self.cols, self.basis]
+
     def unflatten(self, vec) -> np.ndarray:
         e = np.zeros(self.shape, dtype=np.int64)
         e[self.rows, self.cols, self.basis] = vec
@@ -187,17 +193,46 @@ def hom_dim(p: TwoTermComplex, q: TwoTermComplex, shift: int = 0) -> int:
     return gsp.total - field.rank(cons)
 
 
-def chain_maps_mod_homotopy(p: TwoTermComplex, q: TwoTermComplex) -> list:
-    """Representatives of a basis of Hom(p, q) modulo homotopy, as pairs of
-    element matrices (f1, f0).  Reading the homotopy images and then the
-    chain-map basis as columns, the representatives are the chain maps
-    whose columns are pivots of one row reduction."""
+def chain_maps_mod_homotopy(p: TwoTermComplex, q: TwoTermComplex,
+                            modulo=()) -> list:
+    """Representatives of a basis of Hom(p, q) modulo homotopy and the span
+    of the chain maps in modulo, as pairs of element matrices (f1, f0).
+    Reading the homotopy images, then modulo, then the chain-map basis as
+    columns, the representatives are the chain maps whose columns are
+    pivots of one row reduction."""
     field = p.algebra.field
     f1, f0, maps, himg = _chain_map_data(p, q)
-    _, pivots = field.rref(np.vstack([himg, maps]).T)
-    picked = [maps[c - len(himg)] for c in pivots if c >= len(himg)]
+    fixed = np.vstack([himg] + [
+        np.concatenate([f1.flatten(g1), f0.flatten(g0)])[None]
+        for g1, g0 in modulo])
+    _, pivots = field.rref(np.vstack([fixed, maps]).T)
+    picked = [maps[c - len(fixed)] for c in pivots if c >= len(fixed)]
     return [(f1.unflatten(vec[:f1.total]), f0.unflatten(vec[f1.total:]))
             for vec in picked]
+
+
+def top_action(c: TwoTermComplex, f1, f0) -> np.ndarray:
+    """Matrix of a chain map (f1, f0) from c to itself on the top of
+    c^{-1} + c^0: entry (r, s) of each diagonal block is the trivial-path
+    coefficient of entry (r, s) of f1 or f0.  A minimal complex has its
+    differential in the radical, so null-homotopic maps act as zero and
+    this is a ring homomorphism on End_K(c)."""
+    alg = c.algebra
+    n1 = len(c.deg1)
+    out = np.zeros((n1 + len(c.deg0),) * 2, dtype=np.int64)
+    for off, verts, f in ((0, c.deg1, f1), (n1, c.deg0, f0)):
+        idx = np.arange(len(verts))
+        triv = np.array([alg.trivial_index(v) for v in verts], dtype=np.intp)
+        out[off:off + len(verts), off:off + len(verts)] = \
+            f[idx[:, None], idx, triv[:, None]]
+    return out
+
+
+def top_trace(c: TwoTermComplex, f1, f0) -> int:
+    """Trace of top_action.  When End_K(c) is local with residue field the
+    ground field, this is a nonzero multiple of the residue map, so its
+    kernel is the radical."""
+    return int(np.trace(top_action(c, f1, f0))) % c.algebra.field.p
 
 
 # -- minimality ---------------------------------------------------------------

@@ -2,16 +2,19 @@
 enumeration of all of them by breadth-first mutation.
 
 Mutation at an indecomposable summand X of P = X + Q forms the cone over
-the universal left add(Q)-approximation of X, or dually the cocone over
-the universal right approximation (Aihara-Iyama, J. LMS 2012).  The
-universal approximation is built from a full basis of maps modulo
-homotopy, so its cone carries extra add(Q) summands alongside the new
-indecomposable; those are stripped after reduction.  A cone is a
-three-term complex, and it reduces to a two-term one exactly when unit
-elimination (complexes.eliminate_units) empties the outer degree.
-Exactly one of the two directions survives for each summand; anything
-else trips an internal assertion, as does a reduction with more than one
-new summand.
+the minimal left add(Q)-approximation of X, or dually the cocone over the
+minimal right approximation (Aihara-Iyama, J. LMS 2012).  The minimal
+approximation takes, for each summand q of Q, a basis of Hom(X, q) modulo
+homotopy and the maps that factor through a radical map inside add(Q);
+the radical of End(q) is the kernel of the top trace, the trace of the
+action on the top of q's projectives.  Its reduced cone is then the new
+indecomposable itself, so nothing is decomposed: one check per result
+confirms that its endomorphism ring is local.  A cone is a three-term
+complex, and it reduces to a two-term one exactly when unit elimination
+(complexes.eliminate_units) empties the outer degree.  Exactly one of the
+two directions survives for each summand.  Any other count of survivors,
+a result in add(Q) or equal to X, and a result whose endomorphism ring is
+not local raise MutationAmbiguousError.
 
 Two-term presilting complexes are determined by their g-vectors
 (Adachi-Iyama-Reiten, Compos. Math. 2014), and a minimal one has no
@@ -36,13 +39,14 @@ from .complexes import (
     TwoTermComplex,
     chain_maps_mod_homotopy,
     complexes_isomorphic,
-    decompose_complex,
     eliminate_units,
     hom_dim,
     nu_complex,
     projective_stalk,
     sum_complexes,
     summand_classes,
+    top_action,
+    top_trace,
 )
 from .errors import (
     MutationAmbiguousError,
@@ -51,12 +55,59 @@ from .errors import (
 )
 
 
-def _left_candidate(x: TwoTermComplex, q_reps: list) -> TwoTermComplex | None:
-    """Reduced cone over the universal left approximation, or None when it
-    stays three-term."""
+def _radical_maps(q: TwoTermComplex, r: TwoTermComplex, same: bool) -> list:
+    """Radical maps q -> r between summands of Q: all of Hom(q, r) modulo
+    homotopy when they are different summands, and the kernel of the top
+    trace on End_K(q) when they are the same one."""
+    maps = chain_maps_mod_homotopy(q, r)
+    if not same:
+        return maps
+    p = q.algebra.field.p
+    traces = [top_trace(q, f1, f0) for f1, f0 in maps]
+    k = next((k for k, t in enumerate(traces) if t), None)
+    if k is None:
+        raise MutationAmbiguousError(
+            "a fixed summand has no endomorphism with nonzero top trace")
+    u1, u0 = maps.pop(k)
+    inv = q.algebra.field.inv_scalar(traces.pop(k))
+    scales = [t * inv % p for t in traces]
+    return [((f1 - s * u1) % p, (f0 - s * u0) % p)
+            for (f1, f0), s in zip(maps, scales)]
+
+
+def _approximation(x: TwoTermComplex, q_reps: list, left: bool) -> list:
+    """The minimal left (or right) add(Q)-approximation of x as a list of
+    (q, f1, f0), one per copy of a summand q of Q.  The maps x -> q (or
+    q -> x) to each q form a basis of Hom_K modulo the maps that factor
+    through a radical map inside add(Q), so no copy is redundant."""
+    mul = x.algebra.element_matmul
+    ends = (lambda q: (x, q)) if left else (lambda q: (q, x))
+    homs = [chain_maps_mod_homotopy(*ends(q)) for q in q_reps]
+    copies = []
+    for i, qi in enumerate(q_reps):
+        if not homs[i]:
+            continue
+        factored = []
+        for j, qj in enumerate(q_reps):
+            if not homs[j]:
+                continue
+            if left:  # x -> qj -> qi
+                factored += [(mul(g1, f1), mul(g0, f0))
+                             for g1, g0 in _radical_maps(qj, qi, i == j)
+                             for f1, f0 in homs[j]]
+            else:  # qi -> qj -> x
+                factored += [(mul(f1, g1), mul(f0, g0))
+                             for g1, g0 in _radical_maps(qi, qj, i == j)
+                             for f1, f0 in homs[j]]
+        copies += [(qi, f1, f0) for f1, f0
+                   in chain_maps_mod_homotopy(*ends(qi), factored)]
+    return copies
+
+
+def _left_candidate(x: TwoTermComplex, copies: list) -> TwoTermComplex | None:
+    """Reduced cone over the left approximation x -> (sum of copies), or
+    None when it stays three-term."""
     alg = x.algebra
-    copies = [(q, f1, f0) for q in q_reps
-              for f1, f0 in chain_maps_mod_homotopy(x, q)]
     t1 = [v for q, _, _ in copies for v in q.deg1]
     t0 = [v for q, _, _ in copies for v in q.deg0]
     va = list(x.deg1)
@@ -78,12 +129,10 @@ def _left_candidate(x: TwoTermComplex, q_reps: list) -> TwoTermComplex | None:
     return TwoTermComplex(alg, vb, vc, db, check=False)
 
 
-def _right_candidate(x: TwoTermComplex, q_reps: list) -> TwoTermComplex | None:
-    """Reduced cocone over the universal right approximation, or None when
-    it stays three-term."""
+def _right_candidate(x: TwoTermComplex, copies: list) -> TwoTermComplex | None:
+    """Reduced cocone over the right approximation (sum of copies) -> x,
+    or None when it stays three-term."""
     alg = x.algebra
-    copies = [(q, g1, g0) for q in q_reps
-              for g1, g0 in chain_maps_mod_homotopy(q, x)]
     t1 = [v for q, _, _ in copies for v in q.deg1]
     t0 = [v for q, _, _ in copies for v in q.deg0]
     va = list(t1)
@@ -112,31 +161,39 @@ def g_vector_key(c: TwoTermComplex) -> tuple:
     return tuple(sorted(c.deg1)), tuple(sorted(c.deg0))
 
 
-def _extract_new(result: TwoTermComplex, x: TwoTermComplex,
-                 q_reps: list, rng) -> TwoTermComplex:
-    fixed = {g_vector_key(q) for q in q_reps}
-    new = [s for s in decompose_complex(result, rng)
-           if g_vector_key(s) not in fixed]
-    if len(new) != 1:
-        raise MutationAmbiguousError(
-            f"mutation produced {len(new)} summands outside the fixed part"
-        )
-    if g_vector_key(new[0]) == g_vector_key(x):
-        raise MutationAmbiguousError("mutation reproduced the mutated summand")
-    return new[0]
+def require_local(c: TwoTermComplex) -> None:
+    """Raise MutationAmbiguousError unless End_K(c) of the minimal complex c
+    is local with residue field the ground field: the trace pairing
+    tr(T(f) T(g)) of the top actions on End_K(c) must have rank one, as in
+    modules.is_indecomposable."""
+    field = c.algebra.field
+    tops = [top_action(c, f1, f0) for f1, f0 in chain_maps_mod_homotopy(c, c)]
+    if tops:
+        gram = field.matmul(np.array([t.ravel() for t in tops]),
+                            np.array([t.T.ravel() for t in tops]).T)
+        if field.rank(gram) == 1:
+            return
+    raise MutationAmbiguousError(
+        "mutation produced a complex whose endomorphism ring is not local")
 
 
-def mutate_summand(x: TwoTermComplex, q_reps: list, rng=None) -> TwoTermComplex:
+def mutate_summand(x: TwoTermComplex, q_reps: list) -> TwoTermComplex:
     """The unique other indecomposable complement of add(Q) at X, reached
     by whichever of left and right mutation stays two-term."""
-    left = _left_candidate(x, q_reps)
-    right = _right_candidate(x, q_reps)
+    left = _left_candidate(x, _approximation(x, q_reps, left=True))
+    right = _right_candidate(x, _approximation(x, q_reps, left=False))
     outs = [c for c in (left, right) if c is not None]
     if len(outs) != 1:
         raise MutationAmbiguousError(
             f"{len(outs)} mutation directions stayed two-term"
         )
-    return _extract_new(outs[0], x, q_reps, rng)
+    (y,) = outs
+    if g_vector_key(y) in {g_vector_key(q) for q in q_reps}:
+        raise MutationAmbiguousError("mutation produced a fixed summand")
+    if g_vector_key(y) == g_vector_key(x):
+        raise MutationAmbiguousError("mutation reproduced the mutated summand")
+    require_local(y)
+    return y
 
 
 def mutate_silting(c: TwoTermComplex, index: int, rng=None) -> TwoTermComplex:
@@ -151,7 +208,7 @@ def mutate_silting(c: TwoTermComplex, index: int, rng=None) -> TwoTermComplex:
         raise ValueError(f"summand index {index} out of range")
     x = classes[index]
     q_reps = [rep for k, rep in enumerate(classes) if k != index]
-    y = mutate_summand(x, q_reps, rng)
+    y = mutate_summand(x, q_reps)
     return sum_complexes(q_reps[:index] + [y] + q_reps[index:])
 
 
@@ -247,7 +304,8 @@ def enumerate_two_term_silting(algebra, cap: int = 10000,
                                seed: int = 0) -> EnumerationResult:
     """Breadth-first walk from the stalk of the algebra.  Each edge is
     looked up in the registry; only an edge to an item not yet registered
-    runs a mutation, which then registers it."""
+    runs a mutation, which then registers it.  The walk draws no random
+    numbers; seed is kept for callers that pass one."""
     registry = ComplexRegistry(algebra)
     start = frozenset(
         registry.get_or_insert(projective_stalk(algebra, [v]))
@@ -267,8 +325,8 @@ def enumerate_two_term_silting(algebra, cap: int = 10000,
                 yid = find_completion(result, node, x)
                 if yid is None:
                     qs = [registry.items[q] for q in sorted(node) if q != x]
-                    yid = registry.get_or_insert(mutate_summand(
-                        registry.items[x], qs, np.random.default_rng(seed)))
+                    yid = registry.get_or_insert(
+                        mutate_summand(registry.items[x], qs))
                 new_node = frozenset((node - {x}) | {yid})
                 fan[x] = new_node
                 if new_node not in result.edges:  # first edge into it

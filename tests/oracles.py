@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code path it checks: hom
 dimensions come from a loop-assembled linear system with its own row
-reduction, translates come from the syzygy route, and the preprojective
+reduction, translates come from the syzygy route, the preprojective
 indecomposable list comes from translate-closure of a seed rather than
-from any enumeration walk.
+from any enumeration walk, and mutation goes through the universal
+approximation and decomposition rather than the minimal approximation.
 """
 
 from __future__ import annotations
@@ -184,6 +185,29 @@ def brute_complex_hom_dim(p, q, shift: int = 0) -> int:
     homotopies = images(q.deg1, p.deg0, [(right(p.d), space(q.deg1, p.deg1)),
                                          (left(q.d), space(q.deg0, p.deg0))])
     return chain_maps - gauss_rank(homotopies, prime)
+
+
+# -- mutation oracle --------------------------------------------------------------
+
+
+def universal_mutation(x, q_reps: list, rng=None):
+    """Mutation at x by the universal add(Q)-approximation: every chain map
+    in a basis modulo homotopy to (or from) each fixed summand, so the
+    reduced cone carries extra add(Q) summands beside the new one; they are
+    split off by decompose_complex and dropped by g-vector."""
+    from tautilt.complexes import chain_maps_mod_homotopy, decompose_complex
+    from tautilt.mutation import _left_candidate, _right_candidate, g_vector_key
+
+    left = _left_candidate(x, [(q, f1, f0) for q in q_reps
+                               for f1, f0 in chain_maps_mod_homotopy(x, q)])
+    right = _right_candidate(x, [(q, g1, g0) for q in q_reps
+                                 for g1, g0 in chain_maps_mod_homotopy(q, x)])
+    (cone,) = [c for c in (left, right) if c is not None]
+    fixed = {g_vector_key(q) for q in q_reps}
+    (new,) = [s for s in decompose_complex(cone, rng)
+              if g_vector_key(s) not in fixed]
+    assert g_vector_key(new) != g_vector_key(x)
+    return new
 
 
 # -- translate oracles ------------------------------------------------------------

@@ -2,6 +2,10 @@
 and determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from sympy import nextprime
@@ -255,3 +259,22 @@ def test_stdout_matches_golden(capsys, data_dir, argv, golden):
     code, out, _ = run(capsys, command, str(data_dir / name), *rest)
     assert code == 0
     assert out.encode() == (data_dir / "golden" / golden).read_bytes()
+
+
+def test_walk_runs_without_sympy(data_dir):
+    # minimal approximations leave no decomposition on the walk, and sympy
+    # is only imported to split decomposable modules
+    script = ("import contextlib, io, sys\n"
+              "from tautilt.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = main(['enumerate', {str(data_dir / 'nakayama6.alg')!r},"
+              " '--filter', 'nu-stable'])\n"
+              "assert code == 0, code\n"
+              "assert 'sympy' not in sys.modules\n")
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -10,6 +10,7 @@ import pathlib
 
 import pytest
 
+from tautilt.mutation import enumerate_two_term_silting
 from tautilt.pairs import enumerate_nu_stable, enumerate_support_tau_tilting
 from tautilt.textio import parse_algebra_text
 
@@ -40,3 +41,14 @@ def test_preprojective_a4_count(algebras):
     assert stable.status == "COMPLETE"
     assert len(stable.silting.nodes) == math.factorial(5)
     assert len(stable.pairs) == 8
+
+
+def test_preprojective_a5_walk(algebras):
+    # p = 44111 > 36 * 35^2 is the prime the CLI needs on this algebra of
+    # dimension 35; the tilting count over the 720 nodes takes tens of
+    # seconds and stays out of this test
+    silting = enumerate_two_term_silting(
+        parse_algebra_text(algebras.preprojective(5), field_p=44111))
+    assert silting.status == "COMPLETE"
+    assert len(silting.nodes) == math.factorial(6)
+    assert len(silting.registry) == 2**6 - 2

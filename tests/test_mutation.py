@@ -8,13 +8,19 @@ import pytest
 from tautilt.complexes import (
     TwoTermComplex,
     complexes_isomorphic,
+    decompose_complex,
     hom_dim,
     presentation_complex,
     projective_stalk,
     sum_complexes,
     summand_classes,
+    top_trace,
 )
-from tautilt.errors import NotSiltingError, TheoremViolationError
+from tautilt.errors import (
+    MutationAmbiguousError,
+    NotSiltingError,
+    TheoremViolationError,
+)
 from tautilt.modules import simple
 from tautilt.mutation import (
     ComplexRegistry,
@@ -24,6 +30,7 @@ from tautilt.mutation import (
     g_vector_key,
     mutate_silting,
     mutate_summand,
+    require_local,
 )
 from tautilt.translate import is_selfinjective
 
@@ -244,3 +251,48 @@ def test_complex_hom_dim_against_brute_force(runs):
                 for shift in (-1, 0, 1):
                     assert hom_dim(p, q, shift) == \
                         oracles.brute_complex_hom_dim(p, q, shift), name
+
+
+def test_minimal_mutation_matches_universal_oracle(recorded):
+    # the cone of the minimal approximation is already the new summand;
+    # the universal route splits it off the extra add(Q) summands
+    for name, (run, _) in recorded.items():
+        items = run.registry.items
+        for node, fan in run.edges.items():
+            for x in fan:
+                qs = [items[q] for q in sorted(node) if q != x]
+                got = mutate_summand(items[x], qs)
+                want = oracles.universal_mutation(items[x], qs)
+                assert g_vector_key(got) == g_vector_key(want), name
+                assert complexes_isomorphic(got, want), name
+                assert len(decompose_complex(got)) == 1, name
+
+
+def identity_map(c):
+    """The identity chain map of c as element matrices (f1, f0)."""
+    alg = c.algebra
+
+    def ident(verts):
+        e = np.zeros((len(verts), len(verts), alg.dim), dtype=np.int64)
+        for r, v in enumerate(verts):
+            e[r, r, alg.trivial_index(v)] = 1
+        return e
+
+    return ident(c.deg1), ident(c.deg0)
+
+
+def test_locality_check(a2, nak4, runs):
+    for name in ("a2", "nak4", "prep3"):
+        for item in runs[name].registry.items:
+            require_local(item)
+            assert top_trace(item, *identity_map(item)) != 0, name
+    for alg, verts in ((a2, [1, 2]), (nak4, [1, 3]), (nak4, [2, 2])):
+        split = sum_complexes([projective_stalk(alg, [v]) for v in verts])
+        with pytest.raises(MutationAmbiguousError):
+            require_local(split)
+    # a summand in each degree: a trace on the degree 0 top alone would
+    # not see the shifted summand
+    mixed = sum_complexes([projective_stalk(a2, [1]),
+                           projective_stalk(a2, [2], shifted=True)])
+    with pytest.raises(MutationAmbiguousError):
+        require_local(mixed)
