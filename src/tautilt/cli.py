@@ -27,16 +27,13 @@ from .errors import (
     TautiltError,
     TheoremViolationError,
 )
-from .modules import are_isomorphic, decompose, projective
+from .modules import decompose, iso_classes, projective
 from .pairs import (
     enumerate_nu_stable,
     enumerate_support_tau_tilting,
-    is_nu_stable_pair,
-    is_support_tau_minus_tilting,
-    is_support_tau_tilting_pair,
-    is_tau_rigid,
     make_pair,
     pair_to_complex,
+    summand_flags,
 )
 from .textio import (
     algebra_json,
@@ -44,15 +41,9 @@ from .textio import (
     complex_json,
     module_expr_string,
     parse_algebra_file,
-    parse_module_expr,
+    parse_module_terms,
 )
-from .translate import (
-    is_selfinjective,
-    nakayama_permutation,
-    nu_module,
-    tau,
-    tau_minus,
-)
+from .translate import is_selfinjective, nakayama_permutation
 
 CHECK_FLAGS = ("tau-rigid", "support-tau-tilting", "tau-minus-tilting",
                "nu-stable", "tau-symmetric")
@@ -86,15 +77,13 @@ def _permutation_cycles(perm: dict) -> str:
     return "".join(out) if out else "id"
 
 
-def _summand_classes_of(algebra, expr: str) -> tuple:
-    """(total module, indecomposable parts, iso classes) of a parsed sum."""
-    x = parse_module_expr(algebra, expr)
-    parts = decompose(x)
-    classes = []
-    for part in parts:
-        if not any(are_isomorphic(part, c) for c in classes):
-            classes.append(part)
-    return x, parts, classes
+def _summand_classes(algebra, expr: str) -> tuple:
+    """(classes, multiplicities) of a module expression.  Each term is
+    decomposed on its own, so sympy is loaded only for a term that
+    splits; classes follow their first appearance."""
+    parts = [part for term in parse_module_terms(algebra, expr)
+             for part in decompose(term)]
+    return iso_classes(parts)
 
 
 def cmd_info(args) -> int:
@@ -139,25 +128,9 @@ def cmd_check(args) -> int:
             "stability under the Nakayama functor needs a selfinjective "
             "algebra")
     pverts = _parse_pverts(args.pverts)
-    x, parts, classes = _summand_classes_of(algebra, args.modules)
-    basic = len(parts) == len(classes)
-    pair = None
-    if basic and len(classes) + len(pverts) <= algebra.num_vertices:
-        pair = make_pair(algebra, classes, pverts)
-
-    flags: dict = {"tau-rigid": is_tau_rigid(x)}
-    flags["support-tau-tilting"] = (
-        pair is not None and is_support_tau_tilting_pair(pair))
-    flags["tau-minus-tilting"] = (
-        basic and is_support_tau_minus_tilting(classes, algebra))
-    if selfinj:
-        if pair is not None:
-            flags["nu-stable"] = is_nu_stable_pair(pair)
-        else:
-            flags["nu-stable"] = are_isomorphic(nu_module(x), x)
-    else:
-        flags["nu-stable"] = None
-    flags["tau-symmetric"] = are_isomorphic(tau(x), tau_minus(x))
+    classes, mults = _summand_classes(algebra, args.modules)
+    basic = all(k == 1 for k in mults)
+    flags = summand_flags(algebra, classes, mults, pverts)
 
     ok = all(flags[name] for name in required)
     if args.json:
@@ -185,8 +158,8 @@ def cmd_check(args) -> int:
 def cmd_phi(args) -> int:
     algebra = parse_algebra_file(args.algebra, args.field_p)
     pverts = _parse_pverts(args.pverts)
-    x, parts, classes = _summand_classes_of(algebra, args.modules)
-    if len(parts) != len(classes):
+    classes, mults = _summand_classes(algebra, args.modules)
+    if any(k > 1 for k in mults):
         raise NotSupportTauTiltingError("the module part is not basic")
     pair = make_pair(algebra, classes, pverts)
     c = pair_to_complex(pair)
@@ -284,7 +257,10 @@ def _add_common(sub, enumerating: bool):
     if enumerating:
         sub.add_argument("--cap", type=int, default=10000,
                          help="stop after this many items")
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=int, default=0,
+                         help="accepted for compatibility; the walk draws no "
+                              "random numbers, so it has no effect on the "
+                              "output")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -168,17 +168,25 @@ def simple(algebra, v: int) -> Rep:
 
 
 def projective(algebra, v: int) -> Rep:
-    """The indecomposable projective e_v A, on the path basis."""
-    dims = {u: len(algebra.slice_indices(v, u))
-            for u in range(1, algebra.num_vertices + 1)}
-    maps = {}
-    for a in algebra.quiver.arrows:
-        maps[a.name] = algebra.right_mult_matrix(
-            algebra.arrow_element(a.name),
-            algebra.slice_indices(v, a.source),
-            algebra.slice_indices(v, a.target),
-        )
-    return Rep(algebra, dims, maps, check=False)
+    """The indecomposable projective e_v A, on the path basis.  Built once
+    per algebra and vertex; every caller shares the returned module, whose
+    arrow matrices are read-only."""
+    cache = algebra._cache.setdefault("projectives", {})
+    if v not in cache:
+        dims = {u: len(algebra.slice_indices(v, u))
+                for u in range(1, algebra.num_vertices + 1)}
+        maps = {}
+        for a in algebra.quiver.arrows:
+            maps[a.name] = algebra.right_mult_matrix(
+                algebra.arrow_element(a.name),
+                algebra.slice_indices(v, a.source),
+                algebra.slice_indices(v, a.target),
+            )
+        rep = Rep(algebra, dims, maps, check=False)
+        for m in rep.maps.values():
+            m.flags.writeable = False
+        cache[v] = rep
+    return cache[v]
 
 
 def injective(algebra, v: int) -> Rep:
@@ -457,6 +465,18 @@ def projective_sum(algebra, verts: list) -> tuple:
     return direct_sum(algebra, [projective(algebra, v) for v in verts])
 
 
+def _sum_offsets(algebra, verts: list) -> list:
+    """The offsets projective_sum(algebra, verts) returns, without building
+    the sum."""
+    running = dict.fromkeys(range(1, algebra.num_vertices + 1), 0)
+    offsets = []
+    for v in verts:
+        offsets.append(dict(running))
+        for u, d in projective(algebra, v).dims.items():
+            running[u] += d
+    return offsets
+
+
 def syzygy(m: Rep) -> tuple:
     """(syzygy, inclusion into the cover, cover map, cover vertices)."""
     cover, cmap, verts = projective_cover(m)
@@ -486,8 +506,8 @@ def repmap_to_elements(f: RepMap, src_verts: list, tgt_verts: list) -> np.ndarra
     """
     alg = f.src.algebra
     field = alg.field
-    _, soff = projective_sum(alg, src_verts)
-    _, toff = projective_sum(alg, tgt_verts)
+    soff = _sum_offsets(alg, src_verts)
+    toff = _sum_offsets(alg, tgt_verts)
     out = np.zeros((len(tgt_verts), len(src_verts), alg.dim), dtype=np.int64)
     for c, sv in enumerate(src_verts):
         sl = alg.slice_indices(sv, sv)
@@ -651,6 +671,21 @@ def _indec_iso(m: Rep, n: Rep) -> bool:
         return False
     gs = hom_basis(n, m)
     return _pairing_matrix(fs, gs, field).any()
+
+
+def iso_classes(parts: list) -> tuple:
+    """(classes, multiplicities) of a list of indecomposables, with the
+    classes in the order of their first appearance."""
+    classes, mults = [], []
+    for part in parts:
+        hit = next((k for k, c in enumerate(classes) if _indec_iso(part, c)),
+                   None)
+        if hit is None:
+            classes.append(part)
+            mults.append(1)
+        else:
+            mults[hit] += 1
+    return classes, mults
 
 
 def extract_iso(m: Rep, n: Rep) -> RepMap | None:

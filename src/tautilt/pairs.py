@@ -8,15 +8,16 @@ and the summand count |X| + |P| reaches the number of vertices.  The
 correspondence with two-term silting complexes sends X to its minimal
 presentation and each named vertex to a shifted projective stalk.
 
-The enumerations read every fact about a node off tables kept per
-registry item or per pair of items.  Each item's cokernel X_i (its "top",
-kept in PairEnumeration.tops) is computed once, and the tops are checked
-once to be indecomposable and pairwise non-isomorphic.  Hom(X_i, tau X_j)
-is computed once for each pair of items that share a node, with each
-translate computed once, and the Nakayama image of each top is matched
-once to another top.  By Krull-Schmidt, a node is then tau-rigid when its
-pair table vanishes, and stable when the Nakayama functor permutes its
-tops.
+Every predicate of a pair, and every check flag of a module written as a
+sum of indecomposable classes with multiplicities (summand_flags), is read
+off a SummandTables: the translates and the Nakayama image of each class,
+computed once and confirmed indecomposable once, and Hom and isomorphism
+tests once per pair of classes.  By Krull-Schmidt a sum is then tau-rigid
+when its Hom(X_i, tau X_j) table vanishes, and stable when the Nakayama
+functor permutes its classes.  The enumerations share one table across
+all nodes: each registry item's cokernel (its "top", kept in
+PairEnumeration.tops) is one module object, checked once to be
+indecomposable and not isomorphic to another top.
 
 Several results carry a second, independently computed route, and any
 disagreement between routes raises TheoremViolationError: stability under
@@ -28,7 +29,6 @@ algebra out; a fully consistent report proves nothing.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .complexes import (
@@ -50,6 +50,7 @@ from .errors import (
 )
 from .modules import (
     Rep,
+    _indec_iso,
     are_isomorphic,
     direct_sum,
     dual,
@@ -62,6 +63,7 @@ from .modules import (
 )
 from .mutation import EnumerationResult, enumerate_two_term_silting
 from .translate import (
+    is_selfinjective,
     nakayama_permutation,
     nu_module,
     selfinjective_data,
@@ -104,13 +106,102 @@ def is_tau_rigid(x: Rep) -> bool:
     return module_hom_dim(x, tau(x)) == 0
 
 
-def is_support_tau_tilting_pair(pair: STPair, rng=None) -> bool:
-    x = pair.module_sum()
-    if any(x.dims[v] != 0 for v in pair.pverts):
+class SummandTables:
+    """Facts about indecomposable modules, kept per module object.
+
+    The translates and the Nakayama image of each module are computed once
+    and confirmed once to be indecomposable or zero; Hom vanishing and
+    isomorphism are tested once per ordered pair of modules.  Hom and the
+    functors are additive, so by Krull-Schmidt every predicate of a sum of
+    indecomposables is read off these tables.  One instance may hold
+    modules over several algebras (the duals live over the opposite one).
+    """
+
+    def __init__(self):
+        self._images: dict = {}
+        self._duals: dict = {}
+        self._no_maps: dict = {}
+        self._isos: dict = {}
+
+    def image(self, functor, m: Rep) -> Rep:
+        """functor(m) for tau, tau_minus or nu_module, computed once; raises
+        TheoremViolationError when the image of m is decomposable."""
+        key = (functor, m)
+        if key not in self._images:
+            y = functor(m)
+            if not y.is_zero() and not is_indecomposable(y):
+                raise TheoremViolationError(
+                    f"{functor.__name__} of an indecomposable module is "
+                    "decomposable")
+            self._images[key] = y
+        return self._images[key]
+
+    def dual(self, m: Rep) -> Rep:
+        if m not in self._duals:
+            self._duals[m] = dual(m)
+        return self._duals[m]
+
+    def hom_vanishes(self, sources, targets) -> bool:
+        """Whether Hom(a, b) = 0 for every a in sources and b in targets."""
+        for a in sources:
+            for b in targets:
+                if a.is_zero() or b.is_zero():
+                    continue
+                if (a, b) not in self._no_maps:
+                    self._no_maps[(a, b)] = module_hom_dim(a, b) == 0
+                if not self._no_maps[(a, b)]:
+                    return False
+        return True
+
+    def iso(self, a: Rep, b: Rep) -> bool:
+        if (a, b) not in self._isos:
+            self._isos[(a, b)] = _indec_iso(a, b)
+        return self._isos[(a, b)]
+
+    def same_sum(self, xs, ys) -> bool:
+        """Whether two lists of (indecomposable, multiplicity) give
+        isomorphic sums.  Each list must hold pairwise non-isomorphic
+        modules; images of a class list under tau, tau_minus or the
+        Nakayama functor do, since each is injective on the isomorphism
+        classes it does not kill."""
+        ys = list(ys)
+        if len(xs) != len(ys):
+            return False
+        for a, k in xs:
+            hit = next((i for i, (b, _) in enumerate(ys) if self.iso(a, b)),
+                       None)
+            if hit is None or ys.pop(hit)[1] != k:
+                return False
+        return True
+
+    def tau_rigid(self, classes) -> bool:
+        return self.hom_vanishes(classes,
+                                 [self.image(tau, c) for c in classes])
+
+    def nu_fixed(self, classes, mults) -> bool:
+        """Whether the Nakayama functor permutes the classes, keeping
+        multiplicities: the sum is then fixed up to isomorphism."""
+        return self.same_sum(
+            list(zip((self.image(nu_module, c) for c in classes), mults)),
+            list(zip(classes, mults)))
+
+    def tau_symmetric(self, classes, mults) -> bool:
+        """Whether tau and tau_minus of the sum are isomorphic."""
+        def nonzero(functor):
+            return [(y, k) for y, k in zip(
+                (self.image(functor, c) for c in classes), mults)
+                if not y.is_zero()]
+        return self.same_sum(nonzero(tau), nonzero(tau_minus))
+
+
+def is_support_tau_tilting_pair(pair: STPair, rng=None,
+                                tables: SummandTables | None = None) -> bool:
+    if any(m.dims[v] != 0 for m in pair.modules for v in pair.pverts):
         return False
     if len(pair.modules) + len(pair.pverts) != pair.algebra.num_vertices:
         return False
-    return is_tau_rigid(x)
+    tables = SummandTables() if tables is None else tables
+    return tables.tau_rigid(pair.modules)
 
 
 def completion_projectives(modules: list, algebra=None) -> tuple:
@@ -133,14 +224,15 @@ def completion_projectives(modules: list, algebra=None) -> tuple:
     return pverts
 
 
-def is_nu_stable_pair(pair: STPair, rng=None) -> bool:
+def is_nu_stable_pair(pair: STPair, rng=None,
+                      tables: SummandTables | None = None) -> bool:
     """Whether the module part is fixed by the Nakayama functor.  For a
     support tau-tilting pair the complement vertices must then be closed
     under the Nakayama permutation, which is asserted."""
     perm = nakayama_permutation(pair.algebra)
-    x = pair.module_sum()
-    stable = are_isomorphic(nu_module(x), x, rng)
-    if stable and is_support_tau_tilting_pair(pair, rng):
+    tables = SummandTables() if tables is None else tables
+    stable = tables.nu_fixed(pair.modules, [1] * len(pair.modules))
+    if stable and is_support_tau_tilting_pair(pair, tables=tables):
         if sorted(perm[v] for v in pair.pverts) != sorted(pair.pverts):
             raise TheoremViolationError(
                 "stable module part with complement vertices not closed "
@@ -149,27 +241,56 @@ def is_nu_stable_pair(pair: STPair, rng=None) -> bool:
     return stable
 
 
-def is_support_tau_minus_tilting(modules: list, algebra=None, rng=None) -> bool:
+def is_support_tau_minus_tilting(modules: list, algebra=None, rng=None,
+                                 tables: SummandTables | None = None) -> bool:
     """Support tau-minus-tilting, computed directly and again through
     duality over the opposite algebra; the routes must agree."""
     if algebra is None:
         if not modules:
             raise ValueError("an empty module list needs an explicit algebra")
         algebra = modules[0].algebra
+    tables = SummandTables() if tables is None else tables
     pair = make_pair(algebra, modules, ())
-    x = pair.module_sum()
     zero_verts = tuple(v for v in range(1, algebra.num_vertices + 1)
-                       if x.dims[v] == 0)
+                       if not any(m.dims[v] for m in pair.modules))
     count_ok = len(pair.modules) + len(zero_verts) == algebra.num_vertices
-    direct = count_ok and module_hom_dim(tau_minus(x), x) == 0
-    dpair = STPair(algebra.opposite(), tuple(dual(m) for m in pair.modules),
-                   zero_verts)
-    via_dual = is_support_tau_tilting_pair(dpair, rng)
+    direct = count_ok and tables.hom_vanishes(
+        [tables.image(tau_minus, m) for m in pair.modules], pair.modules)
+    dpair = STPair(algebra.opposite(),
+                   tuple(tables.dual(m) for m in pair.modules), zero_verts)
+    via_dual = is_support_tau_tilting_pair(dpair, rng, tables)
     if direct != via_dual:
         raise TheoremViolationError(
             "direct tau-minus route and duality route disagree"
         )
     return direct
+
+
+def summand_flags(algebra, classes: list, mults: list, pverts) -> dict:
+    """The five check flags of the module sum of classes[i] taken
+    mults[i] times, with complement vertices pverts.  The classes must be
+    pairwise non-isomorphic indecomposables; every flag is read off one
+    SummandTables.  nu-stable is None off selfinjective algebras.  A basic
+    module with more classes than fit beside its zero-support vertices
+    raises ValueError, as the pair constructors do."""
+    tables = SummandTables()
+    basic = all(k == 1 for k in mults)
+    pair = None
+    if basic and len(classes) + len(pverts) <= algebra.num_vertices:
+        pair = make_pair(algebra, classes, pverts)
+    flags = {"tau-rigid": tables.tau_rigid(classes)}
+    flags["support-tau-tilting"] = (
+        pair is not None and is_support_tau_tilting_pair(pair, tables=tables))
+    flags["tau-minus-tilting"] = basic and is_support_tau_minus_tilting(
+        classes, algebra, tables=tables)
+    if not is_selfinjective(algebra):
+        flags["nu-stable"] = None
+    elif pair is not None:
+        flags["nu-stable"] = is_nu_stable_pair(pair, tables=tables)
+    else:
+        flags["nu-stable"] = tables.nu_fixed(classes, mults)
+    flags["tau-symmetric"] = tables.tau_symmetric(classes, mults)
+    return flags
 
 
 # -- transport to and from two-term complexes ----------------------------------
@@ -224,7 +345,9 @@ def _complex_to_pair_unchecked(c: TwoTermComplex, rng=None) -> STPair:
 class PairEnumeration:
     """All basic support tau-tilting pairs reached by the silting walk,
     aligned index-for-index with the silting nodes that produced them.
-    tops[i] is the cokernel of registry item i, None for a shifted stalk."""
+    tops[i] is the cokernel of registry item i, None for a shifted stalk;
+    the pairs share these module objects, and tables holds what the
+    predicates learned about them."""
 
     algebra: object
     pairs: list
@@ -232,6 +355,7 @@ class PairEnumeration:
     silting: EnumerationResult
     node_index: dict = field(default_factory=dict)
     tops: list = field(default_factory=list)
+    tables: SummandTables = field(default_factory=SummandTables)
 
 
 def enumerate_support_tau_tilting(algebra, cap: int = 10000, seed: int = 0,
@@ -240,60 +364,36 @@ def enumerate_support_tau_tilting(algebra, cap: int = 10000, seed: int = 0,
     items = enum.registry.items
     tops = [item.h0() if item.deg0 else None for item in items]
     modules = [m for m in tops if m is not None]
+    tables = SummandTables()
     if not all(is_indecomposable(m) and not any(
-            are_isomorphic(m, other, rng) for other in modules[:k])
+            tables.iso(m, other) for other in modules[:k])
             for k, m in enumerate(modules)):
         raise TheoremViolationError(
             "a silting summand has a decomposable or repeated top")
-    taus = [None if m is None else tau(m) for m in tops]
-
-    @functools.cache
-    def no_maps_to_tau(i, j):
-        return module_hom_dim(tops[i], taus[j]) == 0
-
     pairs = []
     node_index = {}
     for k, node in enumerate(enum.nodes):
-        mods = [i for i in sorted(node) if tops[i] is not None]
-        pverts = [items[i].deg1[0] for i in sorted(node) if tops[i] is None]
-        if any(tops[i].dims[v] for i in mods for v in pverts) or not all(
-                no_maps_to_tau(i, j) for i in mods for j in mods):
+        pair = make_pair(
+            algebra, [tops[i] for i in sorted(node) if tops[i] is not None],
+            [items[i].deg1[0] for i in node if tops[i] is None])
+        if not is_support_tau_tilting_pair(pair, tables=tables):
             raise TheoremViolationError(
                 "a silting node transported to a non-tau-tilting pair"
             )
         node_index[node] = k
-        pairs.append(make_pair(algebra, [tops[i] for i in mods], pverts))
+        pairs.append(pair)
     return PairEnumeration(algebra, pairs, enum.status, enum, node_index,
-                           tops)
+                           tops, tables)
 
 
 def enumerate_nu_stable(algebra, cap: int = 10000, seed: int = 0,
                         rng=None) -> PairEnumeration:
     """Stable pairs by two independent routes: filtering the pair
     enumeration by stability, and filtering the silting enumeration by the
-    tilting criterion.  The index sets must agree.  A pair is stable when
-    the Nakayama functor permutes the tops of its module part; the
-    complement vertices of a stable pair must then be closed under the
-    Nakayama permutation, which is asserted."""
-    perm = nakayama_permutation(algebra)
+    tilting criterion.  The index sets must agree."""
     base = enumerate_support_tau_tilting(algebra, cap, seed, rng)
-    tops = base.tops
-    images = {i: nu_module(m) for i, m in enumerate(tops) if m is not None}
-    nu_of = {i: next((j for j in images
-                      if are_isomorphic(image, tops[j], rng)), None)
-             for i, image in images.items()}
-    by_stability = []
-    for k, node in enumerate(base.silting.nodes):
-        mods = {i for i in node if tops[i] is not None}
-        if {nu_of[i] for i in mods} != mods:
-            continue
-        pverts = base.pairs[k].pverts
-        if sorted(perm[v] for v in pverts) != sorted(pverts):
-            raise TheoremViolationError(
-                "stable module part with complement vertices not closed "
-                "under the Nakayama permutation"
-            )
-        by_stability.append(k)
+    by_stability = [k for k, pair in enumerate(base.pairs)
+                    if is_nu_stable_pair(pair, tables=base.tables)]
     by_tilting = [k for k, node in enumerate(base.silting.nodes)
                   if base.silting.is_node_tilting(node)]
     if by_stability != by_tilting:
@@ -303,7 +403,7 @@ def enumerate_nu_stable(algebra, cap: int = 10000, seed: int = 0,
     picked = [base.pairs[k] for k in by_stability]
     index = {base.silting.nodes[k]: i for i, k in enumerate(by_stability)}
     return PairEnumeration(algebra, picked, base.status, base.silting, index,
-                           tops)
+                           base.tops, base.tables)
 
 
 # -- torsion classes ------------------------------------------------------------
@@ -380,9 +480,11 @@ def two_cy_obstruction_report(algebra, cap: int = 10000, seed: int = 0,
                                             rng)
     truncated = enum.status == "TRUNCATED" or op_enum.status == "TRUNCATED"
 
+    tables = enum.tables
     coincide = True
     for pair in enum.pairs:
-        if not is_support_tau_minus_tilting(list(pair.modules), algebra, rng):
+        if not is_support_tau_minus_tilting(list(pair.modules), algebra, rng,
+                                            tables):
             coincide = False
             details.append(
                 "a support tau-tilting module is not support tau-minus-tilting"
@@ -390,9 +492,10 @@ def two_cy_obstruction_report(algebra, cap: int = 10000, seed: int = 0,
             break
     if coincide:
         for op_pair in op_enum.pairs:
-            back = STPair(algebra, tuple(dual(m) for m in op_pair.modules),
+            back = STPair(algebra,
+                          tuple(tables.dual(m) for m in op_pair.modules),
                           op_pair.pverts)
-            if not is_support_tau_tilting_pair(back, rng):
+            if not is_support_tau_tilting_pair(back, rng, tables):
                 coincide = False
                 details.append(
                     "a support tau-minus-tilting module is not support "
@@ -411,10 +514,10 @@ def two_cy_obstruction_report(algebra, cap: int = 10000, seed: int = 0,
     else:
         symmetric = True
         for pair in enum.pairs:
-            if not is_nu_stable_pair(pair, rng):
+            if not is_nu_stable_pair(pair, rng, tables):
                 continue
-            x = pair.module_sum()
-            if not are_isomorphic(tau(x), tau_minus(x), rng):
+            if not tables.tau_symmetric(pair.modules,
+                                        [1] * len(pair.modules)):
                 symmetric = False
                 details.append(
                     "a stable pair has non-isomorphic forward and backward "

@@ -40,7 +40,7 @@ from .errors import ParseError
 from .field import DEFAULT_PRIME, PrimeField
 from .modules import (
     Rep,
-    are_isomorphic,
+    _indec_iso,
     direct_sum,
     injective,
     kernel,
@@ -336,7 +336,9 @@ def _rep_literal(algebra, body: str) -> Rep:
         raise ParseError(str(exc)) from exc
 
 
-def parse_module_expr(algebra: BoundQuiverAlgebra, text: str) -> Rep:
+def parse_module_terms(algebra: BoundQuiverAlgebra, text: str) -> list:
+    """The terms of a module expression, one module each, in the order
+    written; ``0`` terms contribute nothing."""
     parts = [s.strip() for s in _split_top_level(text.strip(), "+")]
     summands = []
     for part in parts:
@@ -361,6 +363,11 @@ def parse_module_expr(algebra: BoundQuiverAlgebra, text: str) -> Rep:
             summands.append(_rep_literal(algebra, m.group(1)))
             continue
         raise ParseError(f"cannot parse module expression {part!r}")
+    return summands
+
+
+def parse_module_expr(algebra: BoundQuiverAlgebra, text: str) -> Rep:
+    summands = parse_module_terms(algebra, text)
     if not summands:
         return zero_module(algebra)
     return direct_sum(algebra, summands)[0]
@@ -369,15 +376,15 @@ def parse_module_expr(algebra: BoundQuiverAlgebra, text: str) -> Rep:
 def module_expr_string(m: Rep) -> str:
     """A module expression that parses back to a module isomorphic to m.
     Uses standard names when they match, a quotient of a projective when
-    the top is simple, and a rep literal otherwise."""
+    the top is simple, and a rep literal otherwise.  Every standard
+    candidate is indecomposable, so a nonzero trace pairing with it
+    (_indec_iso) means m is isomorphic to it."""
     algebra = m.algebra
     if m.is_zero():
         return "0"
     for name, maker in (("S", simple), ("P", projective), ("I", injective)):
         for v in range(1, algebra.num_vertices + 1):
-            candidate = maker(algebra, v)
-            if m.dim_vector() == candidate.dim_vector() and \
-                    are_isomorphic(m, candidate):
+            if _indec_iso(m, maker(algebra, v)):
                 return f"{name}({v})"
     t, _ = top(m)
     if t.total_dim == 1:

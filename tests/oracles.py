@@ -210,6 +210,54 @@ def universal_mutation(x, q_reps: list, rng=None):
     return new
 
 
+# -- whole-sum check oracle -------------------------------------------------------
+
+
+def whole_sum_check_flags(algebra, expr: str, pverts: tuple,
+                          required: tuple) -> dict:
+    """What `check` reports, by the whole-sum route: decompose the parsed
+    sum, and test tau-rigidity, stability and translate symmetry on the
+    sum itself.  Returns {"code", "basic", "flags"}; code 2 with basic and
+    flags None where check rejects the input."""
+    from tautilt.modules import decompose, hom_dim
+    from tautilt.textio import parse_module_expr
+    from tautilt.translate import is_selfinjective
+
+    n = algebra.num_vertices
+    selfinj = is_selfinjective(algebra)
+    if "nu-stable" in required and not selfinj:
+        return {"code": 2, "basic": None, "flags": None}
+    x = parse_module_expr(algebra, expr)
+    parts = decompose(x)
+    classes = []
+    for part in parts:
+        if not any(are_isomorphic(part, c) for c in classes):
+            classes.append(part)
+    basic = len(parts) == len(classes)
+    zero_verts = [v for v in range(1, n + 1) if x.dims[v] == 0]
+    try:
+        if basic and len(classes) + len(pverts) <= n:
+            make_pair(algebra, classes, pverts)  # rejects bad vertex lists
+        if basic and len(classes) + len(zero_verts) > n:
+            raise ValueError("more summands than the algebra has vertices")
+    except ValueError:
+        return {"code": 2, "basic": None, "flags": None}
+    rigid = hom_dim(x, tau(x)) == 0
+    flags = {
+        "tau-rigid": rigid,
+        "support-tau-tilting": (
+            basic and len(classes) + len(pverts) == n and rigid
+            and all(x.dims[v] == 0 for v in pverts)),
+        "tau-minus-tilting": (
+            basic and len(classes) + len(zero_verts) == n
+            and hom_dim(tau_minus(x), x) == 0),
+        "nu-stable": are_isomorphic(nu_module(x), x) if selfinj else None,
+        "tau-symmetric": are_isomorphic(tau(x), tau_minus(x)),
+    }
+    code = 0 if all(flags[name] for name in required) else 1
+    return {"code": code, "basic": basic, "flags": flags}
+
+
 # -- translate oracles ------------------------------------------------------------
 
 

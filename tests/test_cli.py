@@ -11,7 +11,7 @@ import pytest
 from sympy import nextprime
 
 from tautilt.cli import main
-from tautilt.textio import parse_algebra_text
+from tautilt.textio import parse_algebra_file, parse_algebra_text
 
 import oracles
 
@@ -261,14 +261,12 @@ def test_stdout_matches_golden(capsys, data_dir, argv, golden):
     assert out.encode() == (data_dir / "golden" / golden).read_bytes()
 
 
-def test_walk_runs_without_sympy(data_dir):
-    # minimal approximations leave no decomposition on the walk, and sympy
-    # is only imported to split decomposable modules
+def _assert_runs_without_sympy(argv):
+    """main(argv) exits 0 in a fresh process that never imports sympy."""
     script = ("import contextlib, io, sys\n"
               "from tautilt.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              f"    code = main(['enumerate', {str(data_dir / 'nakayama6.alg')!r},"
-              " '--filter', 'nu-stable'])\n"
+              f"    code = main({argv!r})\n"
               "assert code == 0, code\n"
               "assert 'sympy' not in sys.modules\n")
     src = pathlib.Path(__file__).parent.parent / "src"
@@ -278,3 +276,135 @@ def test_walk_runs_without_sympy(data_dir):
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_walk_runs_without_sympy(data_dir):
+    # minimal approximations leave no decomposition on the walk, and sympy
+    # is only imported to split decomposable modules
+    _assert_runs_without_sympy(["enumerate", str(data_dir / "nakayama6.alg"),
+                                "--filter", "nu-stable"])
+
+
+def test_enumerate_ignores_seed(capsys, data_dir):
+    # the walk draws no random numbers; --seed stays accepted but inert
+    alg = str(data_dir / "nakayama4.alg")
+    _, out0, _ = run(capsys, "enumerate", alg, "--seed", "0")
+    _, out7, _ = run(capsys, "enumerate", alg, "--seed", "7")
+    assert out0 == out7
+
+
+def _check_variants(entries):
+    """Each (modules, pverts) as given, with one summand dropped and with
+    one module summand repeated; the positions rotate with the entry."""
+    for k, e in enumerate(entries):
+        mods, pverts = list(e["modules"]), list(e["projective_vertices"])
+        yield mods, pverts
+        i = k % (len(mods) + len(pverts))
+        if i < len(mods):
+            yield mods[:i] + mods[i + 1:], pverts
+        else:
+            i -= len(mods)
+            yield mods, pverts[:i] + pverts[i + 1:]
+        if mods:
+            yield mods + [mods[k % len(mods)]], pverts
+
+
+def _assert_check_matches_whole_sum(capsys, path, expr, pverts, required):
+    argv = ["check", str(path), expr, "--pverts", ",".join(map(str, pverts)),
+            "--require", ",".join(required), "--json"]
+    code, out, _ = run(capsys, *argv)
+    want = oracles.whole_sum_check_flags(parse_algebra_file(str(path)), expr,
+                                         tuple(pverts), required)
+    assert code == want["code"], argv
+    if code != 2:
+        doc = json.loads(out)
+        assert (doc["basic"], doc["flags"]) == (want["basic"],
+                                                want["flags"]), argv
+
+
+@pytest.mark.parametrize("name", ["nakayama6", "nakayama4", "preproj_a3",
+                                  "a2", "gorenstein_witness"])
+def test_check_matches_whole_sum_route(capsys, data_dir, name):
+    path = data_dir / f"{name}.alg"
+    if name == "nakayama6":
+        entries = json.loads(
+            (data_dir / "nakayama6_nu_stable_golden.json").read_text())
+        entries = entries["entries"]
+    else:
+        code, out, _ = run(capsys, "enumerate", str(path))
+        assert code == 0
+        entries = json.loads(out)["entries"]
+    selfinj = name not in ("a2", "gorenstein_witness")
+    required = (("support-tau-tilting", "nu-stable") if selfinj
+                else ("support-tau-tilting",))
+    for mods, pverts in _check_variants(entries):
+        _assert_check_matches_whole_sum(capsys, path, "+".join(mods) or "0",
+                                        pverts, required)
+
+
+@pytest.mark.parametrize("name, expr, pverts, required", [
+    ("nakayama4", "0", (), ("tau-rigid",)),
+    ("nakayama4", "0", (1, 2, 3, 4), ("support-tau-tilting", "nu-stable")),
+    # a term that itself splits, into S(1) + S(2)
+    ("nakayama4", "rep{ dims = [1,1,0,0]; }", (), ("tau-rigid",)),
+    ("nakayama4", "rep{ dims = [1,1,0,0]; }+P(2)", (3, 4),
+     ("support-tau-tilting",)),
+    ("nakayama4", "rep{ dims = [2,0,0,0]; }", (), ("tau-rigid",)),
+    ("nakayama4", "S(1)+P(1)", (1, 1), ("tau-rigid",)),
+    ("a2", "S(1)", (2,), ("nu-stable",)),
+    # more classes than fit beside the zero-support vertex 3
+    ("preproj_a3", "S(1)+S(2)+P(1)/<a*b>", (), ("tau-rigid",)),
+])
+def test_check_edge_cases_match_whole_sum_route(capsys, data_dir, name, expr,
+                                                pverts, required):
+    _assert_check_matches_whole_sum(capsys, data_dir / f"{name}.alg", expr,
+                                    pverts, required)
+
+
+def test_check_more_classes_than_vertices_exits_2(capsys, data_dir):
+    code, out, err = run(capsys, "check", str(data_dir / "a2.alg"),
+                         "S(1)+S(2)+P(1)")
+    assert code == 2 and not out
+    assert "more summands than the algebra has vertices" in err
+
+
+def test_check_modules_in_order_of_first_appearance(capsys, data_dir):
+    code, out, _ = run(capsys, "check", str(data_dir / "nakayama4.alg"),
+                       "P(3)+S(1)+S(1)", "--require", "", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["modules"] == ["P(3)", "S(1)"]
+    assert doc["basic"] is False
+
+
+def test_check_and_report_run_without_sympy(data_dir):
+    # every term of a golden pair is indecomposable, so nothing splits
+    entry = json.loads((data_dir / "nakayama6_nu_stable_golden.json")
+                       .read_text())["entries"][0]
+    _assert_runs_without_sympy(
+        ["check", str(data_dir / "nakayama6.alg"), "+".join(entry["modules"]),
+         "--pverts", ",".join(map(str, entry["projective_vertices"])),
+         "--require", "support-tau-tilting,nu-stable"])
+    _assert_runs_without_sympy(["report-2cy",
+                                str(data_dir / "nakayama4.alg")])
+
+
+def test_projectives_survive_check_and_enumerate(capsys, monkeypatch,
+                                                 data_dir):
+    from tautilt import cli
+    from tautilt.modules import projective
+
+    path = str(data_dir / "nakayama4.alg")
+    alg = parse_algebra_file(path)
+    assert projective(alg, 1) is projective(alg, 1)
+    monkeypatch.setattr(cli, "parse_algebra_file", lambda *_: alg)
+    assert run(capsys, "check", path, "S(1)+P(1)/<a1*a2>+P(3)",
+               "--pverts", "2")[0] in (0, 1)
+    assert run(capsys, "enumerate", path)[0] == 0
+    fresh = parse_algebra_file(path)
+    for v in range(1, alg.num_vertices + 1):
+        kept, new = projective(alg, v), projective(fresh, v)
+        assert kept.dims == new.dims
+        for a in alg.quiver.arrows:
+            assert (kept.maps[a.name] == new.maps[a.name]).all()
+            assert not kept.maps[a.name].flags.writeable
