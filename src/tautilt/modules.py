@@ -233,11 +233,6 @@ def dual(m: Rep) -> Rep:
                check=False)
 
 
-def dual_map(f: RepMap) -> RepMap:
-    return RepMap(dual(f.tgt), dual(f.src),
-                  {v: f.blocks[v].T.copy() for v in f.blocks})
-
-
 # -- hom spaces -------------------------------------------------------------
 
 
@@ -461,20 +456,17 @@ def projective_cover(m: Rep) -> tuple:
 
 def projective_sum(algebra, verts: list) -> tuple:
     """Direct sum of projectives at the given vertices, in order, on the
-    path basis.  Returns (rep, offsets)."""
-    return direct_sum(algebra, [projective(algebra, v) for v in verts])
-
-
-def _sum_offsets(algebra, verts: list) -> list:
-    """The offsets projective_sum(algebra, verts) returns, without building
-    the sum."""
-    running = dict.fromkeys(range(1, algebra.num_vertices + 1), 0)
-    offsets = []
-    for v in verts:
-        offsets.append(dict(running))
-        for u, d in projective(algebra, v).dims.items():
-            running[u] += d
-    return offsets
+    path basis.  Returns (rep, offsets).  Built once per algebra and vertex
+    tuple; every caller shares the returned pair, whose arrow matrices are
+    read-only."""
+    cache = algebra._cache.setdefault("projective_sums", {})
+    key = tuple(verts)
+    if key not in cache:
+        rep, offsets = direct_sum(algebra, [projective(algebra, v) for v in key])
+        for m in rep.maps.values():
+            m.flags.writeable = False
+        cache[key] = rep, offsets
+    return cache[key]
 
 
 def syzygy(m: Rep) -> tuple:
@@ -506,8 +498,8 @@ def repmap_to_elements(f: RepMap, src_verts: list, tgt_verts: list) -> np.ndarra
     """
     alg = f.src.algebra
     field = alg.field
-    soff = _sum_offsets(alg, src_verts)
-    toff = _sum_offsets(alg, tgt_verts)
+    soff = projective_sum(alg, src_verts)[1]
+    toff = projective_sum(alg, tgt_verts)[1]
     out = np.zeros((len(tgt_verts), len(src_verts), alg.dim), dtype=np.int64)
     for c, sv in enumerate(src_verts):
         sl = alg.slice_indices(sv, sv)
@@ -686,22 +678,6 @@ def iso_classes(parts: list) -> tuple:
         else:
             mults[hit] += 1
     return classes, mults
-
-
-def extract_iso(m: Rep, n: Rep) -> RepMap | None:
-    """An explicit isomorphism between indecomposables, or None."""
-    if m.dim_vector() != n.dim_vector():
-        return None
-    field = m.algebra.field
-    fs = hom_basis(m, n)
-    gs = hom_basis(n, m)
-    pair = _pairing_matrix(fs, gs, field)
-    idx = np.argwhere(pair)
-    if idx.size == 0:
-        return None
-    i, j = idx[0]
-    # trace(f g) != 0 makes g f a unit in the local endomorphism ring
-    return fs[int(i)]
 
 
 def are_isomorphic(m: Rep, n: Rep, rng=None) -> bool:

@@ -7,29 +7,33 @@ induced map is realised by the opposite-transposed element matrix.  The
 translate is the dual of the transpose and the inverse translate is the
 transpose of the dual.
 
-For a selfinjective algebra each injective I_i is projective, and matching
-them up yields the permutation pi with I_i isomorphic to P_{pi(i)} together
-with explicit isomorphisms.  Conjugating the Nakayama functor by those
-isomorphisms turns it into a permutation-twisted automorphism of the
-algebra itself, which is what the complex layer applies entrywise.
+A basic algebra is selfinjective exactly when it is Frobenius, and one
+linear form then gives everything the Nakayama functor needs
+(Skowronski-Yamagata, Frobenius Algebras I, 2011).  Each right socle of
+e_i A must be simple, spanned by an element of e_i A e_sigma(i); the form
+lambda reading one nonzero coordinate of each socle element is
+nondegenerate exactly when sigma is a permutation, which is exactly when
+the algebra is selfinjective.  Then e_i A is the injective envelope of
+S_sigma(i), so I_j is isomorphic to P_pi(j) with pi the inverse of sigma.
+The automorphism nu with lambda(bc) = lambda(nu(c) b) is one solve
+against the Gram matrix G[a, b] = lambda(ab); it maps e_i to e_pi(i) and
+is the Nakayama functor on maps between projectives once each I_j is
+identified with P_pi(j), which is how the complex layer applies it
+entrywise.  No trace certificate is involved, so the test is exact at
+every accepted prime.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotSelfinjectiveError
+from .errors import NotSelfinjectiveError, TheoremViolationError
 from .modules import (
     Rep,
     dual,
-    dual_map,
     elements_to_repmap,
-    extract_iso,
-    injective,
     minimal_presentation,
-    projective,
     quotient_rep,
-    repmap_to_elements,
 )
 
 
@@ -69,33 +73,48 @@ def tau_minus(m: Rep) -> Rep:
 # -- selfinjective structure -------------------------------------------------
 
 
+def _frobenius_data(algebra):
+    """(permutation, nu matrix) read off a Frobenius form, or a message
+    naming the vertex where the algebra fails to be selfinjective."""
+    field = algebra.field
+    arrows = [k for k in range(algebra.dim) if algebra.word_length(k) == 1]
+    key, sigma = [], {}
+    for i in range(1, algebra.num_vertices + 1):
+        rows = algebra.paths_from(i)
+        # the right socle of e_i A: the elements every arrow kills
+        soc = field.left_kernel_basis(
+            algebra.mult_table[np.ix_(rows, arrows)].reshape(len(rows), -1))
+        if len(soc) != 1:
+            return (f"P({i}) has a socle of dimension {len(soc)}, so the "
+                    "algebra is not selfinjective")
+        k = rows[int(np.flatnonzero(soc[0])[0])]
+        key.append(k)
+        sigma[i] = algebra.target_of(k)
+    gram = algebra.mult_table[:, :, key].sum(axis=-1) % field.p
+    if not field.is_invertible(gram):
+        first = {}
+        for i, v in sigma.items():
+            if v in first:
+                return (f"P({first[v]}) and P({i}) both have socle S({v}), "
+                        "so the algebra is not selfinjective")
+            first[v] = i
+        raise TheoremViolationError(
+            "simple socles with distinct tops but a degenerate Frobenius form")
+    nu = field.matmul(gram.T, field.inverse(gram))
+    nu.flags.writeable = False
+    return dict(sorted((v, i) for i, v in sigma.items())), nu
+
+
 def selfinjective_data(algebra):
-    """(permutation, isomorphisms) with I_i isomorphic to P_{pi(i)} via the
-    stored maps.  Raises NotSelfinjectiveError when some injective is not
-    projective."""
-    cached = algebra._cache.get("selfinj")
-    if cached is None:
-        perm = {}
-        phis = {}
-        projs = {v: projective(algebra, v)
-                 for v in range(1, algebra.num_vertices + 1)}
-        for i in range(1, algebra.num_vertices + 1):
-            inj = injective(algebra, i)
-            for j, pj in projs.items():
-                iso = extract_iso(inj, pj)
-                if iso is not None:
-                    perm[i] = j
-                    phis[i] = iso
-                    break
-        cached = (perm, phis)
-        algebra._cache["selfinj"] = cached
-    perm, phis = cached
-    if len(perm) != algebra.num_vertices:
-        missing = [i for i in range(1, algebra.num_vertices + 1) if i not in perm]
-        raise NotSelfinjectiveError(
-            f"injective at vertex {missing[0]} is not projective"
-        )
-    return perm, phis
+    """(pi, nu) for a selfinjective algebra: I_i is isomorphic to
+    P_{pi(i)}, and nu is nu_matrix(algebra).  Raises NotSelfinjectiveError,
+    naming a vertex where it fails, for any other algebra."""
+    if "selfinj" not in algebra._cache:
+        algebra._cache["selfinj"] = _frobenius_data(algebra)
+    data = algebra._cache["selfinj"]
+    if isinstance(data, str):
+        raise NotSelfinjectiveError(data)
+    return data
 
 
 def is_selfinjective(algebra) -> bool:
@@ -110,34 +129,11 @@ def nakayama_permutation(algebra) -> dict:
     return dict(selfinjective_data(algebra)[0])
 
 
-def _nu_of_morphism(algebra, x: np.ndarray, i: int, j: int):
-    """The Nakayama functor on the morphism P_j -> P_i given by left
-    multiplication with x in e_i A e_j, as a map I_j -> I_i."""
-    op = algebra.opposite()
-    op_map = elements_to_repmap(op, [i], [j],
-                                algebra.op_element(x).reshape(1, 1, -1))
-    return dual_map(op_map)
-
-
 def nu_matrix(algebra) -> np.ndarray:
     """Matrix of the permutation-twisted automorphism induced by the
     Nakayama functor: row k holds the image of basis element k, an element
     of e_{pi(i)} A e_{pi(j)} when basis element k lies in e_i A e_j."""
-    if "nu_matrix" not in algebra._cache:
-        perm, phis = selfinjective_data(algebra)
-        phi_inv = {i: phis[i].inverse() for i in phis}
-        m = algebra.field.zeros(algebra.dim, algebra.dim)
-        for k in range(algebra.dim):
-            i = algebra.source_of(k)
-            j = algebra.target_of(k)
-            x = algebra.zero()
-            x[k] = 1
-            nu_map = _nu_of_morphism(algebra, x, i, j)
-            conj = phi_inv[j].compose(nu_map).compose(phis[i])
-            e = repmap_to_elements(conj, [perm[j]], [perm[i]])
-            m[k] = e[0, 0]
-        algebra._cache["nu_matrix"] = m
-    return algebra._cache["nu_matrix"]
+    return selfinjective_data(algebra)[1]
 
 
 def nu_element(algebra, x: np.ndarray) -> np.ndarray:

@@ -14,13 +14,19 @@ import numpy as np
 
 from tautilt.modules import (
     Rep,
+    RepMap,
+    _pairing_matrix,
     are_isomorphic,
     direct_sum,
     dual,
+    elements_to_repmap,
     hom_basis,
+    injective,
+    minimal_presentation,
     projective,
     quotient_rep,
     radical_rows,
+    repmap_to_elements,
     simple,
     sub_rep,
     submodule_generated,
@@ -256,6 +262,69 @@ def whole_sum_check_flags(algebra, expr: str, pverts: tuple,
     }
     code = 0 if all(flags[name] for name in required) else 1
     return {"code": code, "basic": basic, "flags": flags}
+
+
+# -- Nakayama functor oracle ------------------------------------------------------
+
+
+def extract_iso(m: Rep, n: Rep) -> RepMap | None:
+    """An explicit isomorphism between indecomposables, or None."""
+    if m.dim_vector() != n.dim_vector():
+        return None
+    field = m.algebra.field
+    fs = hom_basis(m, n)
+    gs = hom_basis(n, m)
+    pair = _pairing_matrix(fs, gs, field)
+    idx = np.argwhere(pair)
+    if idx.size == 0:
+        return None
+    i, j = idx[0]
+    # trace(f g) != 0 makes g f a unit in the local endomorphism ring
+    return fs[int(i)]
+
+
+def nakayama_oracle(algebra):
+    """(pi, nu matrix) by matching injectives with projectives, or None
+    when some injective is not projective.  pi(i) is the vertex whose
+    projective admits an explicit isomorphism phi_i from I_i; row k of the
+    matrix is the Nakayama functor on basis path k, a map of injectives
+    realised as the dual of a map over the opposite algebra, conjugated by
+    those isomorphisms into a map of projectives."""
+    n = algebra.num_vertices
+    perm, phis = {}, {}
+    for i in range(1, n + 1):
+        inj = injective(algebra, i)
+        for j in range(1, n + 1):
+            iso = extract_iso(inj, projective(algebra, j))
+            if iso is not None:
+                perm[i], phis[i] = j, iso
+                break
+        else:
+            return None
+    op = algebra.opposite()
+    nu = algebra.field.zeros(algebra.dim, algebra.dim)
+    for k in range(algebra.dim):
+        i, j = algebra.source_of(k), algebra.target_of(k)
+        x = algebra.zero()
+        x[k] = 1
+        op_map = elements_to_repmap(op, [i], [j],
+                                    algebra.op_element(x).reshape(1, 1, -1))
+        nu_map = RepMap(dual(op_map.tgt), dual(op_map.src),
+                        {v: b.T.copy() for v, b in op_map.blocks.items()})
+        conj = phis[j].inverse().compose(nu_map).compose(phis[i])
+        nu[k] = repmap_to_elements(conj, [perm[j]], [perm[i]])[0, 0]
+    return perm, nu
+
+
+def nu_module_oracle(m: Rep, perm: dict, nu: np.ndarray) -> Rep:
+    """The Nakayama functor on a module, by transporting its minimal
+    presentation with a given permutation and twist matrix."""
+    alg = m.algebra
+    verts1, verts0, e = minimal_presentation(m)
+    moved = alg.field.matmul(e.reshape(-1, alg.dim), nu).reshape(e.shape)
+    induced = elements_to_repmap(alg, [perm[v] for v in verts1],
+                                 [perm[v] for v in verts0], moved)
+    return quotient_rep(induced.tgt, induced.blocks)[0]
 
 
 # -- translate oracles ------------------------------------------------------------

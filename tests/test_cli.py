@@ -408,3 +408,29 @@ def test_projectives_survive_check_and_enumerate(capsys, monkeypatch,
         for a in alg.quiver.arrows:
             assert (kept.maps[a.name] == new.maps[a.name]).all()
             assert not kept.maps[a.name].flags.writeable
+
+
+def test_projective_sums_survive_check_and_enumerate(capsys, monkeypatch,
+                                                    data_dir):
+    from tautilt import cli
+    from tautilt.modules import direct_sum, projective, projective_sum
+
+    path = str(data_dir / "nakayama4.alg")
+    alg = parse_algebra_file(path)
+    first = projective_sum(alg, [1, 3, 1])
+    assert projective_sum(alg, (1, 3, 1)) is first
+    monkeypatch.setattr(cli, "parse_algebra_file", lambda *_: alg)
+    assert run(capsys, "check", path, "S(1)+P(1)/<a1*a2>+P(3)",
+               "--pverts", "2")[0] in (0, 1)
+    assert run(capsys, "enumerate", path)[0] == 0
+    cached = alg._cache["projective_sums"]
+    assert len(cached) > 1
+    fresh = parse_algebra_file(path)
+    for verts, (kept, offsets) in cached.items():
+        new, new_offsets = direct_sum(
+            fresh, [projective(fresh, v) for v in verts])
+        assert offsets == new_offsets
+        assert kept.dims == new.dims
+        for a in alg.quiver.arrows:
+            assert (kept.maps[a.name] == new.maps[a.name]).all()
+            assert not kept.maps[a.name].flags.writeable

@@ -13,7 +13,6 @@ from tautilt.modules import (
     direct_sum,
     dual,
     ext1_dim,
-    extract_iso,
     fac_contains,
     hom_dim,
     is_indecomposable,
@@ -28,6 +27,7 @@ from tautilt.modules import (
 )
 
 import oracles
+from oracles import extract_iso
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,17 @@
 """Auslander-Reiten translates and the Nakayama functor.  The transpose
 route used by tau/tau_minus is cross-checked against an independent
-syzygy route available over selfinjective algebras."""
+syzygy route available over selfinjective algebras, and the Nakayama
+functor read off a Frobenius form against the route that matches each
+injective with a projective by an explicit isomorphism."""
+
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
+from sympy import nextprime
 
+from tautilt.algebra import Arrow, Quiver, build_algebra
 from tautilt.errors import NotSelfinjectiveError
 from tautilt.modules import (
     are_isomorphic,
@@ -20,11 +27,48 @@ from tautilt.translate import (
     nakayama_permutation,
     nu_element,
     nu_module,
+    selfinjective_data,
     tau,
     tau_minus,
 )
+from tautilt.textio import parse_algebra_text
 
 import oracles
+
+ROOT = pathlib.Path(__file__).parent.parent
+
+
+def _generator():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_algebras", ROOT / "perfbench" / "algebras.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _algebra(name, prime="file"):
+    """A test-data algebra by file stem, or a generated one: N(n,l) is the
+    selfinjective Nakayama algebra, Pi(A4) the preprojective algebra.
+    prime is "file", "smallest" (the first prime past the 4 d^2 bound the
+    parser enforces) or "largest" (the last one below the int64 bound)."""
+    gen = _generator()
+    texts = {"N(5,3)": gen.nakayama(5, 3), "N(4,2)": gen.nakayama(4, 2),
+             "N(3,5)": gen.nakayama(3, 5), "Pi(A4)": gen.preprojective(4)}
+    text = texts.get(name) or (ROOT / "tests" / "data" / f"{name}.alg"
+                               ).read_text()
+    alg = parse_algebra_text(text)
+    if prime == "smallest":
+        return parse_algebra_text(text, nextprime(4 * alg.dim ** 2))
+    if prime == "largest":
+        return parse_algebra_text(text, oracles.largest_exact_prime(alg.dim))
+    return alg
+
+
+NU_CASES = [("nakayama4", "file"), ("nakayama6", "file"),
+            ("preproj_a3", "file"), ("one_vertex", "file"),
+            ("N(5,3)", "file"), ("N(4,2)", "file"), ("N(3,5)", "file"),
+            ("Pi(A4)", "file"), ("N(5,3)", "smallest"),
+            ("nakayama4", "largest")]
 
 
 def test_selfinjectivity_flags(nak6, nak4, prep3, a2, one_vertex, witness):
@@ -142,3 +186,50 @@ def test_nu_element_fixes_identity(nak6):
 def test_tau_of_zero(nak4):
     assert tau(zero_module(nak4)).is_zero()
     assert tau_minus(zero_module(nak4)).is_zero()
+
+
+@pytest.mark.parametrize("name, prime", NU_CASES)
+def test_nu_agrees_with_injective_route(name, prime):
+    # N(5,3) has the non-involutive permutation (1 4 2 5 3), so a route
+    # that built the inverse functor would fail here
+    alg = _algebra(name, prime)
+    perm, nu = oracles.nakayama_oracle(alg)
+    assert nakayama_permutation(alg) == perm
+    rng = np.random.default_rng(5)
+    for v in range(1, alg.num_vertices + 1):
+        moved = nu_element(alg, alg.trivial_path(v))
+        assert (moved == alg.trivial_path(perm[v])).all()
+        assert are_isomorphic(nu_module(projective(alg, v)),
+                              injective(alg, v))
+    for _ in range(10):
+        x, y = rng.integers(0, alg.field.p, size=(2, alg.dim))
+        assert (nu_element(alg, alg.multiply(x, y))
+                == alg.multiply(nu_element(alg, x), nu_element(alg, y))).all()
+    # the base field has a single indecomposable and nothing to extend
+    count = 12 if alg.dim > 1 else 1
+    for m in oracles.module_corpus(alg, rng, count=count):
+        assert are_isomorphic(nu_module(m),
+                              oracles.nu_module_oracle(m, perm, nu)), (
+            name, m.dim_vector())
+
+
+def _two_socle_algebra():
+    """Arrows 1 -> 2 and 1 -> 3, no relations: P(1) has socle S(2) + S(3)."""
+    return build_algebra(Quiver(3, [Arrow("a", 1, 2), Arrow("b", 1, 3)]), [])
+
+
+@pytest.mark.parametrize("name", ["a2", "gorenstein_witness", "two-socle"]
+                         + sorted({n for n, _ in NU_CASES}))
+def test_selfinjectivity_agrees_with_injective_route(name):
+    alg = _two_socle_algebra() if name == "two-socle" else _algebra(name)
+    assert is_selfinjective(alg) == (oracles.nakayama_oracle(alg) is not None)
+
+
+def test_not_selfinjective_names_the_vertex(a2, witness):
+    for alg in (a2, witness):
+        with pytest.raises(NotSelfinjectiveError,
+                           match=r"P\(1\) and P\(2\) both have socle S\(2\)"):
+            selfinjective_data(alg)
+    with pytest.raises(NotSelfinjectiveError,
+                       match=r"P\(1\) has a socle of dimension 2"):
+        selfinjective_data(_two_socle_algebra())
