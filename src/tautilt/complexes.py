@@ -11,14 +11,18 @@ by one vectorised product and one gather.  A single unit-elimination
 routine, eliminate_units, strips contractible summands both from two-term
 complexes and from the three-term cones that mutation builds.
 
-Isomorphism and direct sum decomposition are delegated to the module
-layer: a two-term complex is the same thing as a module over the
-triangular matrix algebra of A, where both questions are plain module
-questions and minimal complexes are homotopy equivalent exactly when they
-are isomorphic on the nose.  Mutation needs neither: its minimal
-approximations yield indecomposables directly, so decomposition serves
-only summand_classes (the silting predicates and mutate_silting),
-complex_to_pair and the cross-checks.
+Minimal complexes are homotopy equivalent exactly when they are
+isomorphic on the nose.  An indecomposable minimal complex with a local
+endomorphism ring, such as every item of the enumeration's registry, is
+compared with another complex by the top-trace pairing
+(isomorphic_by_top_trace): one product of the top actions of the chain
+maps each way.  Decomposition, and isomorphism of complexes that may
+decompose, are delegated to the module layer: a two-term complex is the
+same thing as a module over the triangular matrix algebra of A, of
+dimension 3d, where both are plain module questions.  The walk never
+builds that algebra; it serves only summand_classes (the silting
+predicates and mutate_silting), complex_to_pair, the Nakayama route of
+is_two_term_tilting and the cross-checks in the tests.
 """
 
 from __future__ import annotations
@@ -211,20 +215,27 @@ def chain_maps_mod_homotopy(p: TwoTermComplex, q: TwoTermComplex,
             for vec in picked]
 
 
+def _tops(alg, verts, f) -> np.ndarray:
+    """Trivial-path coefficients of an element matrix f whose rows lie
+    over the vertices verts: the image of f under A -> A/rad A, whose entry
+    (r, s) is zero unless both ends are one vertex.  This is a ring
+    homomorphism, so it takes products of element matrices to products of
+    scalar matrices."""
+    triv = np.array([alg.trivial_index(v) for v in verts], dtype=np.intp)
+    return f[np.arange(len(verts))[:, None], np.arange(f.shape[1]),
+             triv[:, None]]
+
+
 def top_action(c: TwoTermComplex, f1, f0) -> np.ndarray:
     """Matrix of a chain map (f1, f0) from c to itself on the top of
     c^{-1} + c^0: entry (r, s) of each diagonal block is the trivial-path
     coefficient of entry (r, s) of f1 or f0.  A minimal complex has its
     differential in the radical, so null-homotopic maps act as zero and
     this is a ring homomorphism on End_K(c)."""
-    alg = c.algebra
     n1 = len(c.deg1)
     out = np.zeros((n1 + len(c.deg0),) * 2, dtype=np.int64)
-    for off, verts, f in ((0, c.deg1, f1), (n1, c.deg0, f0)):
-        idx = np.arange(len(verts))
-        triv = np.array([alg.trivial_index(v) for v in verts], dtype=np.intp)
-        out[off:off + len(verts), off:off + len(verts)] = \
-            f[idx[:, None], idx, triv[:, None]]
+    out[:n1, :n1] = _tops(c.algebra, c.deg1, f1)
+    out[n1:, n1:] = _tops(c.algebra, c.deg0, f0)
     return out
 
 
@@ -385,6 +396,40 @@ def complexes_isomorphic(p: TwoTermComplex, q: TwoTermComplex) -> bool:
     from .modules import are_isomorphic
 
     return are_isomorphic(complex_to_module(p), complex_to_module(q))
+
+
+def isomorphic_by_top_trace(x: TwoTermComplex, y: TwoTermComplex) -> bool:
+    """Isomorphism in the homotopy category of minimal complexes x and y,
+    where End_K(x) is local with residue field the ground field, by the
+    top-trace pairing: whether tr T(g f) != 0 for some basis maps f in
+    Hom_K(x, y) and g in Hom_K(y, x) (chain_maps_mod_homotopy), with T the
+    top_action on x.
+
+    Why this is exact.  T is a ring homomorphism on End_K(x) and sends the
+    radical to nilpotent matrices, so tr T(l 1 + r) = l N with
+    N = |x.deg1| + |x.deg0|.  N is nonzero in F_p: a stalk has N = 1, and
+    otherwise the rank-one test of mutation.require_local, which x passed
+    or which the complex it is a Nakayama image of passed, fails when p
+    divides N.  So the pairing is nonzero at some g f exactly when some
+    g f is a unit, that is, when x is a direct summand of y.  The pairing
+    is bilinear, so it suffices to try pairs of basis maps.  A summand of
+    the minimal complex y is minimal, and minimal complexes are homotopy
+    equivalent exactly when they are isomorphic, so when y has the vertex
+    lists of x it has no other summand.  T(g f) is the product of the
+    trivial-path coefficient matrices of g and f, so the whole pairing is
+    one matrix product."""
+    if sorted(x.deg1) != sorted(y.deg1) or sorted(x.deg0) != sorted(y.deg0):
+        return False
+    alg = x.algebra
+    fs = [np.concatenate([_tops(alg, y.deg1, f1).ravel(),
+                          _tops(alg, y.deg0, f0).ravel()])
+          for f1, f0 in chain_maps_mod_homotopy(x, y)]
+    gs = [np.concatenate([_tops(alg, x.deg1, g1).T.ravel(),
+                          _tops(alg, x.deg0, g0).T.ravel()])
+          for g1, g0 in chain_maps_mod_homotopy(y, x)]
+    if not fs or not gs:
+        return False
+    return bool(alg.field.matmul(np.array(fs), np.array(gs).T).any())
 
 
 # -- the Nakayama functor on complexes ----------------------------------------

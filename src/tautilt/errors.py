@@ -25,8 +25,10 @@ class NonAdmissibleError(TautiltError):
 
 class FieldTooSmallError(TautiltError):
     """The prime is too small for the trace certificates used here: an
-    algebra of dimension d needs p > 4 * d**2, and its two-term complexes
-    p > 36 * d**2."""
+    algebra of dimension d needs p > 4 * d**2, for its modules and its
+    two-term complexes alike.  Decomposing a complex, which builds the
+    triangular algebra of dimension 3 * d, needs p > 36 * d**2; no command
+    line path does that."""
 
 
 class PrimeTooLargeError(TautiltError):

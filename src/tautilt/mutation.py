@@ -21,14 +21,20 @@ Two-term presilting complexes are determined by their g-vectors
 vertex in both degrees, so its sorted vertex lists are its g-vector.  The
 enumeration walks the mutation graph from the stalk of the algebra over a
 registry of indecomposable complexes keyed by g-vector, and records every
-edge in both directions.  By the same paper, P + Q is presilting exactly
-when Hom(P, Q[1]) = 0 = Hom(Q, P[1]), and an almost complete two-term
-presilting complex has exactly two completions.  So the edge at a summand
-X of a node is the one registered item outside the node that is
-compatible in this sense with the rest of it; a second such item is a
-TheoremViolationError.  Only when none is registered yet is the mutation
-computed, and its result is new, so the walk mutates once per
-indecomposable beyond the stalks it starts from.
+edge in both directions.  The first lookup that lands on a registered
+item confirms it by the top-trace pairing, which is exact because every
+item has a local endomorphism ring.  By the same paper, P + Q is
+presilting exactly when Hom(P, Q[1]) = 0 = Hom(Q, P[1]), and an almost
+complete two-term presilting complex has exactly two completions.  So the
+edge at a summand X of a node is the one registered item outside the
+node that is compatible in this sense with the rest of it; a second such
+item is a TheoremViolationError.  Each item keeps a bitmask of the items
+compatible with it, extended as the registry grows, and the completion is
+the AND of the masks of the rest of the node.  Only when none is
+registered yet is the mutation computed, and its result is new, so the
+walk mutates once per indecomposable beyond the stalks it starts from.
+The Hom spaces and radical maps that the approximations read are kept
+once per ordered pair of registry items.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ import numpy as np
 from .complexes import (
     TwoTermComplex,
     chain_maps_mod_homotopy,
-    complexes_isomorphic,
     eliminate_units,
     hom_dim,
+    isomorphic_by_top_trace,
     nu_complex,
     projective_stalk,
     sum_complexes,
@@ -55,11 +61,11 @@ from .errors import (
 )
 
 
-def _radical_maps(q: TwoTermComplex, r: TwoTermComplex, same: bool) -> list:
-    """Radical maps q -> r between summands of Q: all of Hom(q, r) modulo
-    homotopy when they are different summands, and the kernel of the top
-    trace on End_K(q) when they are the same one."""
-    maps = chain_maps_mod_homotopy(q, r)
+def _radical_maps(q: TwoTermComplex, maps: tuple, same: bool) -> tuple:
+    """Radical maps q -> r between summands of Q, from maps, a basis of
+    Hom(q, r) modulo homotopy: all of it when they are different summands,
+    and the kernel of the top trace on End_K(q) when they are the same
+    one."""
     if not same:
         return maps
     p = q.algebra.field.p
@@ -68,21 +74,52 @@ def _radical_maps(q: TwoTermComplex, r: TwoTermComplex, same: bool) -> list:
     if k is None:
         raise MutationAmbiguousError(
             "a fixed summand has no endomorphism with nonzero top trace")
-    u1, u0 = maps.pop(k)
-    inv = q.algebra.field.inv_scalar(traces.pop(k))
-    scales = [t * inv % p for t in traces]
-    return [((f1 - s * u1) % p, (f0 - s * u0) % p)
-            for (f1, f0), s in zip(maps, scales)]
+    u1, u0 = maps[k]
+    inv = q.algebra.field.inv_scalar(traces[k])
+    return tuple(((f1 - t * inv % p * u1) % p, (f0 - t * inv % p * u0) % p)
+                 for n, ((f1, f0), t) in enumerate(zip(maps, traces))
+                 if n != k)
 
 
-def _approximation(x: TwoTermComplex, q_reps: list, left: bool) -> list:
+def _frozen(maps) -> tuple:
+    """A list of chain maps as a tuple of read-only pairs."""
+    for pair in maps:
+        for f in pair:
+            f.flags.writeable = False
+    return tuple(tuple(pair) for pair in maps)
+
+
+class _PairMaps:
+    """chain_maps_mod_homotopy(p, q) and the radical maps p -> q, computed
+    once per ordered pair of complex objects and kept read-only.  The walk
+    keeps one for its registry items; each mutate_summand call without it
+    makes its own."""
+
+    def __init__(self):
+        self._homs: dict = {}
+        self._radical: dict = {}
+
+    def homs(self, p: TwoTermComplex, q: TwoTermComplex) -> tuple:
+        if (p, q) not in self._homs:
+            self._homs[p, q] = _frozen(chain_maps_mod_homotopy(p, q))
+        return self._homs[p, q]
+
+    def radical(self, q: TwoTermComplex, r: TwoTermComplex) -> tuple:
+        if (q, r) not in self._radical:
+            self._radical[q, r] = _frozen(
+                _radical_maps(q, self.homs(q, r), q is r))
+        return self._radical[q, r]
+
+
+def _approximation(x: TwoTermComplex, q_reps: list, left: bool,
+                   maps: _PairMaps) -> list:
     """The minimal left (or right) add(Q)-approximation of x as a list of
     (q, f1, f0), one per copy of a summand q of Q.  The maps x -> q (or
     q -> x) to each q form a basis of Hom_K modulo the maps that factor
     through a radical map inside add(Q), so no copy is redundant."""
     mul = x.algebra.element_matmul
     ends = (lambda q: (x, q)) if left else (lambda q: (q, x))
-    homs = [chain_maps_mod_homotopy(*ends(q)) for q in q_reps]
+    homs = [maps.homs(*ends(q)) for q in q_reps]
     copies = []
     for i, qi in enumerate(q_reps):
         if not homs[i]:
@@ -93,14 +130,16 @@ def _approximation(x: TwoTermComplex, q_reps: list, left: bool) -> list:
                 continue
             if left:  # x -> qj -> qi
                 factored += [(mul(g1, f1), mul(g0, f0))
-                             for g1, g0 in _radical_maps(qj, qi, i == j)
+                             for g1, g0 in maps.radical(qj, qi)
                              for f1, f0 in homs[j]]
             else:  # qi -> qj -> x
                 factored += [(mul(f1, g1), mul(f0, g0))
-                             for g1, g0 in _radical_maps(qi, qj, i == j)
+                             for g1, g0 in maps.radical(qi, qj)
                              for f1, f0 in homs[j]]
-        copies += [(qi, f1, f0) for f1, f0
-                   in chain_maps_mod_homotopy(*ends(qi), factored)]
+        # with nothing factored, the basis modulo homotopy is homs[i] itself
+        kept = (chain_maps_mod_homotopy(*ends(qi), factored) if factored
+                else homs[i])
+        copies += [(qi, f1, f0) for f1, f0 in kept]
     return copies
 
 
@@ -166,8 +205,13 @@ def require_local(c: TwoTermComplex) -> None:
     is local with residue field the ground field: the trace pairing
     tr(T(f) T(g)) of the top actions on End_K(c) must have rank one, as in
     modules.is_indecomposable."""
+    _require_local(c, chain_maps_mod_homotopy(c, c))
+
+
+def _require_local(c: TwoTermComplex, ends) -> None:
+    """require_local with ends, a basis of End_K(c), given."""
     field = c.algebra.field
-    tops = [top_action(c, f1, f0) for f1, f0 in chain_maps_mod_homotopy(c, c)]
+    tops = [top_action(c, f1, f0) for f1, f0 in ends]
     if tops:
         gram = field.matmul(np.array([t.ravel() for t in tops]),
                             np.array([t.T.ravel() for t in tops]).T)
@@ -177,11 +221,14 @@ def require_local(c: TwoTermComplex) -> None:
         "mutation produced a complex whose endomorphism ring is not local")
 
 
-def mutate_summand(x: TwoTermComplex, q_reps: list) -> TwoTermComplex:
+def mutate_summand(x: TwoTermComplex, q_reps: list, *,
+                   _maps: _PairMaps | None = None) -> TwoTermComplex:
     """The unique other indecomposable complement of add(Q) at X, reached
-    by whichever of left and right mutation stays two-term."""
-    left = _left_candidate(x, _approximation(x, q_reps, left=True))
-    right = _right_candidate(x, _approximation(x, q_reps, left=False))
+    by whichever of left and right mutation stays two-term.  The walk
+    passes its own _maps so that Hom between its items is computed once."""
+    maps = _PairMaps() if _maps is None else _maps
+    left = _left_candidate(x, _approximation(x, q_reps, True, maps))
+    right = _right_candidate(x, _approximation(x, q_reps, False, maps))
     outs = [c for c in (left, right) if c is not None]
     if len(outs) != 1:
         raise MutationAmbiguousError(
@@ -192,7 +239,7 @@ def mutate_summand(x: TwoTermComplex, q_reps: list) -> TwoTermComplex:
         raise MutationAmbiguousError("mutation produced a fixed summand")
     if g_vector_key(y) == g_vector_key(x):
         raise MutationAmbiguousError("mutation reproduced the mutated summand")
-    require_local(y)
+    _require_local(y, maps.homs(y, y))
     return y
 
 
@@ -218,7 +265,12 @@ def mutate_silting(c: TwoTermComplex, index: int, rng=None) -> TwoTermComplex:
 class ComplexRegistry:
     """Indecomposable minimal presilting complexes keyed by g-vector, with
     stable integer ids in insertion order.  The first lookup that lands on
-    an existing item is cross-checked by an isomorphism test."""
+    an existing item is cross-checked by the top-trace pairing
+    (complexes.isomorphic_by_top_trace).  That test is exact because
+    End_K of every item is local with residue field the ground field: a
+    stalk because the algebra is basic, a mutation result because it
+    passed require_local, and a Nakayama image because the Nakayama
+    functor is an auto-equivalence."""
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -233,7 +285,7 @@ class ComplexRegistry:
             i = self._ids[key] = len(self.items)
             self.items.append(c)
         elif i not in self._confirmed:
-            if not complexes_isomorphic(self.items[i], c):
+            if not isomorphic_by_top_trace(self.items[i], c):
                 raise TheoremViolationError(
                     "two complexes with one g-vector are not isomorphic")
             self._confirmed.add(i)
@@ -249,6 +301,9 @@ class EnumerationResult:
     nodes are frozensets of registry ids in discovery order; edges[node]
     maps a summand id to the neighbouring node; status is COMPLETE when the
     graph was exhausted and TRUNCATED when the node cap stopped the walk.
+    Facts about registry items are kept per item or per pair of items:
+    Hom(-, -[shift]) dimensions, Nakayama images, compatibility masks, and
+    the chain maps that mutation reads.
     """
 
     def __init__(self, algebra, registry, nodes, edges, status):
@@ -259,6 +314,8 @@ class EnumerationResult:
         self.status = status
         self._hom_cache: dict = {}
         self._nu_cache: dict = {}
+        self._masks: dict = {}
+        self._maps = _PairMaps()
 
     def node_complex(self, node) -> TwoTermComplex:
         return sum_complexes([self.registry.items[i] for i in sorted(node)])
@@ -269,6 +326,26 @@ class EnumerationResult:
             self._hom_cache[key] = hom_dim(
                 self.registry.items[i], self.registry.items[j], shift)
         return self._hom_cache[key]
+
+    def compatible_mask(self, i: int) -> int:
+        """Bitmask of the registry items y that sum with item i to a
+        presilting complex: Hom(i, y[1]) = 0 = Hom(y, i[1]).  A minimal
+        presilting sum has no vertex in both degrees (sign-coherence;
+        Adachi-Iyama-Reiten 2014, Demonet-Iyama-Jasso 2019), so a y that
+        shares one with i is dropped before any Hom is computed.  Ids only
+        grow, so the mask is extended over the ids registered since the
+        last call."""
+        items = self.registry.items
+        a = items[i]
+        mask, known = self._masks.get(i, (0, 0))
+        for y in range(known, len(items)):
+            b = items[y]
+            if (set(a.deg1).isdisjoint(b.deg0)
+                    and set(a.deg0).isdisjoint(b.deg1)
+                    and self.hom_shift(i, y, 1) == 0 == self.hom_shift(y, i, 1)):
+                mask |= 1 << y
+        self._masks[i] = mask, len(items)
+        return mask
 
     def is_node_tilting(self, node) -> bool:
         return all(self.hom_shift(i, j, -1) == 0 for i in node for j in node)
@@ -286,18 +363,21 @@ class EnumerationResult:
 def find_completion(result: EnumerationResult, node, x: int) -> int | None:
     """The registry item other than x that completes node - {x}, or None
     when the registry does not hold it yet.  A candidate is any item outside
-    node with Hom(y, q[1]) = 0 = Hom(q, y[1]) for the rest q of the node;
-    an almost complete presilting complex has exactly two completions, so
-    a second candidate is a contradiction."""
-    rest = node - {x}
-    found = [y for y in range(len(result.registry)) if y not in node
-             and all(result.hom_shift(y, q, 1) == 0 == result.hom_shift(q, y, 1)
-                     for q in rest)]
-    if len(found) > 1:
+    node compatible with the rest q of the node, Hom(y, q[1]) = 0 =
+    Hom(q, y[1]): the AND of their compatibility masks with the node's
+    bits cleared.  An almost complete presilting complex has exactly two
+    completions, so a second candidate is a contradiction."""
+    found = (1 << len(result.registry)) - 1
+    for q in node:
+        found &= ~(1 << q)
+        if q != x:
+            found &= result.compatible_mask(q)
+    count = found.bit_count()
+    if count > 1:
         raise TheoremViolationError(
-            f"{len(found)} registry items complete one almost complete "
+            f"{count} registry items complete one almost complete "
             "presilting complex")
-    return found[0] if found else None
+    return found.bit_length() - 1 if found else None
 
 
 def enumerate_two_term_silting(algebra, cap: int = 10000,
@@ -325,8 +405,8 @@ def enumerate_two_term_silting(algebra, cap: int = 10000,
                 yid = find_completion(result, node, x)
                 if yid is None:
                     qs = [registry.items[q] for q in sorted(node) if q != x]
-                    yid = registry.get_or_insert(
-                        mutate_summand(registry.items[x], qs))
+                    yid = registry.get_or_insert(mutate_summand(
+                        registry.items[x], qs, _maps=result._maps))
                 new_node = frozenset((node - {x}) | {yid})
                 fan[x] = new_node
                 if new_node not in result.edges:  # first edge into it

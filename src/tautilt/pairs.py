@@ -57,12 +57,15 @@ from .modules import (
     fac_contains,
     hom_dim as module_hom_dim,
     is_indecomposable,
+    minimal_presentation,
     regular,
     syzygy,
     zero_module,
 )
 from .mutation import EnumerationResult, enumerate_two_term_silting
 from .translate import (
+    _nu_module_of,
+    _transpose_of,
     is_selfinjective,
     nakayama_permutation,
     nu_module,
@@ -111,24 +114,44 @@ class SummandTables:
 
     The translates and the Nakayama image of each module are computed once
     and confirmed once to be indecomposable or zero; Hom vanishing and
-    isomorphism are tested once per ordered pair of modules.  Hom and the
-    functors are additive, so by Krull-Schmidt every predicate of a sum of
-    indecomposables is read off these tables.  One instance may hold
+    isomorphism are tested once per ordered pair of modules.  One minimal
+    presentation per module serves its translate and its Nakayama image,
+    and the presentation of its dual serves tau_minus of it and the
+    translate of the dual.  Hom and the functors are additive, so by
+    Krull-Schmidt every predicate of a sum of indecomposables is read off
+    these tables.  One instance may hold
     modules over several algebras (the duals live over the opposite one).
     """
 
     def __init__(self):
         self._images: dict = {}
         self._duals: dict = {}
+        self._presentations: dict = {}
         self._no_maps: dict = {}
         self._isos: dict = {}
+
+    def _presentation(self, m: Rep) -> tuple:
+        if m not in self._presentations:
+            self._presentations[m] = minimal_presentation(m)
+        return self._presentations[m]
+
+    def _apply(self, functor, m: Rep) -> Rep:
+        """functor(m) for tau, tau_minus or nu_module, from the
+        presentations kept here: tau_minus(m) is the transpose of the
+        dual, tau(m) the dual of the transpose."""
+        if functor is nu_module:
+            return _nu_module_of(m.algebra, self._presentation(m))
+        if functor is tau_minus:
+            d = self.dual(m)
+            return _transpose_of(d.algebra, self._presentation(d))
+        return dual(_transpose_of(m.algebra, self._presentation(m)))
 
     def image(self, functor, m: Rep) -> Rep:
         """functor(m) for tau, tau_minus or nu_module, computed once; raises
         TheoremViolationError when the image of m is decomposable."""
         key = (functor, m)
         if key not in self._images:
-            y = functor(m)
+            y = self._apply(functor, m)
             if not y.is_zero() and not is_indecomposable(y):
                 raise TheoremViolationError(
                     f"{functor.__name__} of an indecomposable module is "

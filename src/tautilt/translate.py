@@ -51,8 +51,12 @@ def cokernel(f) -> Rep:
 
 def transpose(m: Rep) -> Rep:
     """Transpose over the opposite algebra."""
-    alg = m.algebra
-    verts1, verts0, e = minimal_presentation(m)
+    return _transpose_of(m.algebra, minimal_presentation(m))
+
+
+def _transpose_of(alg, presentation) -> Rep:
+    """Transpose of the module with the given minimal presentation."""
+    verts1, verts0, e = presentation
     induced = elements_to_repmap(alg.opposite(), verts0, verts1,
                                  _op_transposed(alg, e))
     return cokernel(induced)
@@ -147,9 +151,13 @@ def nu_element(algebra, x: np.ndarray) -> np.ndarray:
 def nu_module(m: Rep) -> Rep:
     """Nakayama functor applied to a module over a selfinjective algebra,
     via the transported minimal presentation."""
-    alg = m.algebra
+    return _nu_module_of(m.algebra, minimal_presentation(m))
+
+
+def _nu_module_of(alg, presentation) -> Rep:
+    """Nakayama image of the module with the given minimal presentation."""
     perm, _ = selfinjective_data(alg)
-    verts1, verts0, e = minimal_presentation(m)
+    verts1, verts0, e = presentation
     induced = elements_to_repmap(alg, [perm[v] for v in verts1],
                                  [perm[v] for v in verts0], nu_element(alg, e))
     return cokernel(induced)

@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 import sys
 
@@ -6,9 +7,10 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from tautilt.textio import parse_algebra_file
+from tautilt.textio import parse_algebra_file, parse_algebra_text
 
 DATA = pathlib.Path(__file__).parent / "data"
+GENERATOR = pathlib.Path(__file__).parent.parent / "perfbench" / "algebras.py"
 
 
 def load(name):
@@ -38,6 +40,22 @@ def a2():
 @pytest.fixture(scope="session")
 def one_vertex():
     return load("one_vertex.alg")
+
+
+@pytest.fixture(scope="session")
+def algebras():
+    """The benchmark's algebra generator, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_algebras",
+                                                  GENERATOR)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def pa4(algebras):
+    """The preprojective algebra of A4."""
+    return parse_algebra_text(algebras.preprojective(4))
 
 
 @pytest.fixture(scope="session")

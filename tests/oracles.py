@@ -216,6 +216,20 @@ def universal_mutation(x, q_reps: list, rng=None):
     return new
 
 
+def scan_completion(result, node, x: int):
+    """The registry items outside node compatible with node - {x}, found
+    by scanning every item: Hom(y, q[1]) = 0 = Hom(q, y[1]) for each other
+    q of the node.  Returns the one such item, None when there is none,
+    and a list when there are several."""
+    rest = node - {x}
+    found = [y for y in range(len(result.registry)) if y not in node
+             and all(result.hom_shift(y, q, 1) == 0 == result.hom_shift(q, y, 1)
+                     for q in rest)]
+    if len(found) > 1:
+        return found
+    return found[0] if found else None
+
+
 # -- whole-sum check oracle -------------------------------------------------------
 
 

@@ -208,16 +208,17 @@ def _cyclic_nakayama_text(n, loewy):
 
 
 def test_dimension_limit_in_user_terms(capsys, tmp_path):
+    # two-term complexes need what modules need, p > 4 * d^2
     text = _cyclic_nakayama_text(7, 5)
     assert parse_algebra_text(text).dim == 35
     path = tmp_path / "nakayama7.alg"
     path.write_text(text)
     code, out, _ = run(capsys, "info", str(path))
     assert code == 0 and "dimension: 35" in out
-    code, _, err = run(capsys, "enumerate", str(path))
+    code, _, err = run(capsys, "enumerate", str(path), "--field-p", "4889")
     assert code == 2
-    assert "dimension 35" in err and "44100" in err and "--field-p" in err
-    assert "105" not in err
+    assert "dimension 35" in err and "4900" in err and "--field-p" in err
+    assert "105" not in err and "44100" not in err
 
 
 def test_prime_too_large_is_input_error(capsys, data_dir):
@@ -232,9 +233,9 @@ def test_prime_too_large_is_input_error(capsys, data_dir):
 
 
 def test_enumerate_at_largest_accepted_prime(capsys, data_dir):
-    # complexes work in the triangular algebra, of dimension 3 * 12
+    # complexes need only the bound of the algebra, of dimension 12
     alg = str(data_dir / "nakayama4.alg")
-    big = oracles.largest_exact_prime(36)
+    big = oracles.largest_exact_prime(12)
     code, out, _ = run(capsys, "enumerate", alg, "--field-p", str(big))
     assert code == 0
     code, _, err = run(capsys, "enumerate", alg,
@@ -245,6 +246,20 @@ def test_enumerate_at_largest_accepted_prime(capsys, data_dir):
     doc = json.loads(out)
     assert doc["algebra"]["p"] == big
     assert doc["entries"] == expect["entries"]
+
+
+def test_walk_never_builds_the_triangular_algebra(capsys, monkeypatch,
+                                                  data_dir, algebras):
+    from tautilt import cli
+
+    # fresh algebras: other tests build the triangular algebra of theirs
+    for alg in (parse_algebra_file(str(data_dir / "nakayama6.alg")),
+                parse_algebra_text(algebras.preprojective(4))):
+        monkeypatch.setattr(cli, "parse_algebra_file", lambda *_: alg)
+        code, _, _ = run(capsys, "enumerate", "given.alg",
+                         "--filter", "nu-stable")
+        assert code == 0
+        assert "triangular" not in alg._cache
 
 
 @pytest.mark.parametrize("argv, golden", [

@@ -10,6 +10,7 @@ from tautilt.complexes import (
     complexes_isomorphic,
     decompose_complex,
     hom_dim,
+    isomorphic_by_top_trace,
     presentation_complex,
     projective_stalk,
     sum_complexes,
@@ -163,16 +164,23 @@ def test_every_mutation_discovers_an_item(a2, nak4, prep3, monkeypatch):
 
 def test_three_completions_are_a_theorem_violation(a2, monkeypatch):
     # an almost complete presilting complex has exactly two completions
-    # (Adachi-Iyama-Reiten); with every Hom(-, -[1]) forced to vanish the
-    # three items outside a node of the a2 walk all complete it
+    # (Adachi-Iyama-Reiten); with every Hom(-, -[1]) forced to vanish, the
+    # stalk P(1) of the a2 start node has three: P(2), and the two items
+    # outside the node that pass the sign-coherence prefilter, P(2)[1] and
+    # P(2) -> P(1)
     run = enumerate_two_term_silting(a2)
     assert len(run.registry) == 5
     start = run.nodes[0]
-    assert find_completion(run, start, min(start)) is not None
+    x = max(start)
+    assert find_completion(run, start, x) is not None
     monkeypatch.setattr(EnumerationResult, "hom_shift",
                         lambda self, i, j, shift: 0)
+    # compatibility masks are kept per result, so a fresh result over the
+    # same registry is the one that reads the patched Hom
+    fresh = EnumerationResult(a2, run.registry, run.nodes, run.edges,
+                              run.status)
     with pytest.raises(TheoremViolationError):
-        find_completion(run, start, min(start))
+        find_completion(fresh, start, x)
 
 
 def test_cap_truncates(nak4):
@@ -182,23 +190,35 @@ def test_cap_truncates(nak4):
 
 
 @pytest.fixture(scope="module")
-def recorded(a2, nak4, prep3):
+def recorded(a2, nak4, prep3, pa4):
     """Walks whose registries record every lookup, Nakayama images
-    included on selfinjective algebras: name -> (run, [(complex, id)]).
-    The walk decides edges by registry lookup, so every recorded edge is
-    also mutated and must land on the swapped-in item."""
+    included on selfinjective algebras, and every completion the walk
+    looked up next to the scan's answer at that moment:
+    name -> (run, [(complex, id)], [(found, scanned)]).  The walk decides
+    edges by registry lookup, so every recorded edge is also mutated and
+    must land on the swapped-in item."""
     lookups = {}
+    completions = {}
     original = ComplexRegistry.get_or_insert
+    original_find = find_completion
 
     def recording(registry, c):
         i = original(registry, c)
         lookups.setdefault(id(registry), []).append((c, i))
         return i
 
+    def checking(result, node, x):
+        found = original_find(result, node, x)
+        completions.setdefault(id(result), []).append(
+            (found, oracles.scan_completion(result, node, x)))
+        return found
+
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ComplexRegistry, "get_or_insert", recording)
-        for name, alg in (("a2", a2), ("nak4", nak4), ("prep3", prep3)):
+        mp.setattr("tautilt.mutation.find_completion", checking)
+        for name, alg in (("a2", a2), ("nak4", nak4), ("prep3", prep3),
+                          ("pa4", pa4)):
             run = enumerate_two_term_silting(alg)
             items = run.registry.items
             for node, fan in run.edges.items():
@@ -207,17 +227,19 @@ def recorded(a2, nak4, prep3):
                     (y,) = nbr - node
                     got = mutate_summand(items[x], qs)
                     assert run.registry.get_or_insert(got) == y, name
+                    checking(run, node, x)
             if is_selfinjective(alg):
                 for node in run.nodes:
                     run.is_node_nu_stable(node)
-            out[name] = (run, lookups[id(run.registry)])
+            out[name] = (run, lookups[id(run.registry)],
+                         completions[id(run)])
     return out
 
 
 def test_registry_keys_are_g_vectors(recorded):
     # Adachi-Iyama-Reiten: g-vectors determine two-term presilting
     # complexes, and minimal ones share no vertex between the degrees
-    for name, (run, lookups) in recorded.items():
+    for name, (run, lookups, _) in recorded.items():
         items = run.registry.items
         keys = [g_vector_key(c) for c in items]
         assert len(set(keys)) == len(items), name
@@ -229,6 +251,33 @@ def test_registry_keys_are_g_vectors(recorded):
                 same_key = g_vector_key(c) == keys[j]
                 assert same_key == (i == j), name
                 assert same_key == complexes_isomorphic(c, item), name
+
+
+def test_top_trace_pairing_matches_triangular_route(recorded):
+    # the registry confirms a first hit by the top-trace pairing; on every
+    # lookup, Nakayama images included, it agrees with isomorphism of
+    # modules over the triangular algebra, and both say yes
+    for name, (run, lookups, _) in recorded.items():
+        items = run.registry.items
+        for c, i in lookups:
+            assert isomorphic_by_top_trace(items[i], c), name
+            assert complexes_isomorphic(items[i], c), name
+
+
+def test_completion_masks_match_the_scan(recorded):
+    for name, (run, _, completions) in recorded.items():
+        assert len(completions) > len(run.nodes), name
+        for found, scanned in completions:
+            assert found == scanned, name
+        assert any(found is None for found, _ in completions), name
+        # the sign-coherence prefilter hides no candidate: every pair it
+        # drops has a nonzero Hom(-, -[1]) one way or the other
+        items = run.registry.items
+        for i, a in enumerate(items):
+            for y, b in enumerate(items):
+                if set(a.deg1) & set(b.deg0) or set(a.deg0) & set(b.deg1):
+                    assert run.hom_shift(i, y, 1) or run.hom_shift(y, i, 1), \
+                        name
 
 
 def test_registry_cross_checks_its_first_hit(a2):
@@ -255,8 +304,10 @@ def test_complex_hom_dim_against_brute_force(runs):
 
 def test_minimal_mutation_matches_universal_oracle(recorded):
     # the cone of the minimal approximation is already the new summand;
-    # the universal route splits it off the extra add(Q) summands
-    for name, (run, _) in recorded.items():
+    # the universal route splits it off the extra add(Q) summands.  Its
+    # decompositions make Pi(A4) cost about 40 s, so that walk is left out
+    for name in ("a2", "nak4", "prep3"):
+        run = recorded[name][0]
         items = run.registry.items
         for node, fan in run.edges.items():
             for x in fan:
