@@ -12,39 +12,36 @@ routine, eliminate_units, strips contractible summands both from two-term
 complexes and from the three-term cones that mutation builds.
 
 Minimal complexes are homotopy equivalent exactly when they are
-isomorphic on the nose.  An indecomposable minimal complex with a local
-endomorphism ring, such as every item of the enumeration's registry, is
-compared with another complex by the top-trace pairing
-(isomorphic_by_top_trace): one product of the top actions of the chain
-maps each way.  Decomposition, and isomorphism of complexes that may
-decompose, are delegated to the module layer: a two-term complex is the
-same thing as a module over the triangular matrix algebra of A, of
-dimension 3d, where both are plain module questions.  The walk never
-builds that algebra; it serves only summand_classes (the silting
-predicates and mutate_silting), complex_to_pair, the Nakayama route of
-is_two_term_tilting and the cross-checks in the tests.
+isomorphic on the nose.  A complex is decomposed by idempotents of its
+ring of chain maps End_C(c), not taken modulo homotopy, acting on the
+per-vertex blocks of c^{-1} and c^0 (decompose_complex); the splitter is
+the one that decomposes modules.  An indecomposable minimal complex with
+a local endomorphism ring, such as every item of the enumeration's
+registry and every summand that decompose_complex returns, is compared
+with another complex by the top-trace pairing (isomorphic_by_top_trace):
+one product of the top actions of the chain maps each way.  Complexes
+that may decompose are compared summand class by summand class
+(complexes_isomorphic).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Arrow, Quiver, Relation, build_algebra
-from .errors import (
-    FieldTooSmallError,
-    NotSelfinjectiveError,
-    PrimeTooLargeError,
-    TheoremViolationError,
-)
+from .errors import NotSelfinjectiveError, TheoremViolationError
 from .modules import (
     Rep,
     RepMap,
-    decompose,
+    _pairing_matrix,
     elements_to_repmap,
+    iso_classes,
     minimal_presentation,
     projective_cover,
     quotient_rep,
     repmap_to_elements,
+    same_summands,
+    splitting_idempotents,
+    sub_rep,
 )
 from .translate import nu_element, selfinjective_data
 
@@ -292,110 +289,60 @@ def minimalize(c: TwoTermComplex) -> TwoTermComplex:
     return TwoTermComplex(c.algebra, deg1, deg0, d, check=False)
 
 
-# -- complexes as modules over the triangular algebra -------------------------
+# -- decomposition by chain-map idempotents ---------------------------------
 
 
-def triangular_algebra(algebra):
-    """The lower triangular matrix algebra of A, as a bound quiver algebra.
-    Vertices 1..n are the degree -1 layer, n+1..2n the degree 0 layer, with
-    a connecting arrow per vertex and commutation relations.  It has
-    dimension 3d for A of dimension d, so the bounds on the prime are
-    stated here in terms of d."""
-    if "triangular" not in algebra._cache:
-        d, p = algebra.dim, algebra.field.p
-        if p <= 36 * d * d:
-            raise FieldTooSmallError(
-                f"p = {p} too small for two-term complexes over an algebra "
-                f"of dimension {d}: need p > 36 * {d}^2 = {36 * d * d}")
-        if algebra.field.max_terms < 3 * d:
-            raise PrimeTooLargeError(
-                f"p = {p} too large for two-term complexes over an algebra "
-                f"of dimension {d}: need {3 * d} * (p-1)^2 + (p-1) < 2^63")
-        n = algebra.num_vertices
-        quiver = algebra.quiver
-        arrows = []
-        for a in quiver.arrows:
-            arrows.append(Arrow(f"{a.name}@1", a.source, a.target))
-        for a in quiver.arrows:
-            arrows.append(Arrow(f"{a.name}@0", a.source + n, a.target + n))
-        for v in range(1, n + 1):
-            arrows.append(Arrow(f"@{v}", v, v + n))
-        rels = []
-        for src, tgt, _, terms in algebra.normalised_relations():
-            for layer in ("1", "0"):
-                rels.append(Relation(tuple(
-                    (coeff, tuple(f"{quiver.arrows[ai].name}@{layer}"
-                                  for ai in ids))
-                    for coeff, ids in terms)))
-        for a in quiver.arrows:
-            rels.append(Relation((
-                (1, (f"@{a.source}", f"{a.name}@0")),
-                (-1, (f"{a.name}@1", f"@{a.target}")),
-            )))
-        tri = build_algebra(Quiver(2 * n, arrows), rels, algebra.field)
-        if tri.dim != 3 * algebra.dim:
-            raise AssertionError("triangular algebra has the wrong dimension")
-        algebra._cache["triangular"] = tri
-    return algebra._cache["triangular"]
-
-
-def complex_to_module(c: TwoTermComplex) -> Rep:
-    """A two-term complex as a module over the triangular algebra."""
+def _chain_map_blocks(c: TwoTermComplex) -> list:
+    """A basis of End_C(c), the chain maps from c to itself not taken
+    modulo homotopy, each as the per-vertex blocks of its two components
+    on the projective modules c^{-1} and c^0, keyed (-1, v) and (0, v)."""
     alg = c.algebra
-    n = alg.num_vertices
-    tri = triangular_algebra(alg)
+    f1, f0, maps, _ = _chain_map_data(c, c)
+    out = []
+    for vec in maps:
+        g1 = elements_to_repmap(alg, list(c.deg1), list(c.deg1),
+                                f1.unflatten(vec[:f1.total]))
+        g0 = elements_to_repmap(alg, list(c.deg0), list(c.deg0),
+                                f0.unflatten(vec[f1.total:]))
+        out.append({**{(-1, v): b for v, b in g1.blocks.items()},
+                    **{(0, v): b for v, b in g0.blocks.items()}})
+    return out
+
+
+def _image_complex(c: TwoTermComplex, e: dict) -> TwoTermComplex:
+    """The summand of c that an idempotent chain map e cuts out: its images
+    on c^{-1} and c^0 with the restricted differential, re-coordinatised
+    onto the path basis through projective covers."""
+    field = c.algebra.field
     f = c.expand()
-    dims = {}
-    maps = {}
-    for v in range(1, n + 1):
-        dims[v] = f.src.dims[v]
-        dims[v + n] = f.tgt.dims[v]
-        maps[f"@{v}"] = f.blocks[v]
-    for a in alg.quiver.arrows:
-        maps[f"{a.name}@1"] = f.src.maps[a.name]
-        maps[f"{a.name}@0"] = f.tgt.maps[a.name]
-    return Rep(tri, dims, maps, check=False)
-
-
-def _module_to_complex(algebra, s: Rep) -> TwoTermComplex:
-    """Back from a triangular module whose layers are projective; the
-    layers are re-coordinatised onto the path basis through their covers."""
-    n = algebra.num_vertices
-    layer1 = Rep(algebra, {v: s.dims[v] for v in range(1, n + 1)},
-                 {a.name: s.maps[f"{a.name}@1"] for a in algebra.quiver.arrows},
-                 check=False)
-    layer0 = Rep(algebra, {v: s.dims[v + n] for v in range(1, n + 1)},
-                 {a.name: s.maps[f"{a.name}@0"] for a in algebra.quiver.arrows},
-                 check=False)
-    conn = RepMap(layer1, layer0,
-                  {v: s.maps[f"@{v}"] for v in range(1, n + 1)})
-    _, cm1, verts1 = projective_cover(layer1)
-    _, cm0, verts0 = projective_cover(layer0)
+    s1, i1 = sub_rep(f.src, {v: e[-1, v] for v in f.src.dims})
+    s0, i0 = sub_rep(f.tgt, {v: e[0, v] for v in f.tgt.dims})
+    restricted = RepMap(s1, s0, {
+        v: field.solve_left(i0.blocks[v], field.matmul(i1.blocks[v], b))
+        for v, b in f.blocks.items()})
+    _, cm1, verts1 = projective_cover(s1)
+    _, cm0, verts0 = projective_cover(s0)
     if not (cm1.is_iso() and cm0.is_iso()):
-        raise AssertionError("triangular summand has a non-projective layer")
-    comp = cm1.compose(conn).compose(cm0.inverse())
-    return TwoTermComplex(algebra, verts1, verts0,
+        raise AssertionError("a summand of a complex has a non-projective term")
+    comp = cm1.compose(restricted).compose(cm0.inverse())
+    return TwoTermComplex(c.algebra, verts1, verts0,
                           repmap_to_elements(comp, verts1, verts0),
                           check=False)
 
 
 def decompose_complex(c: TwoTermComplex, rng=None) -> list:
-    """Indecomposable direct summands, with repetition."""
+    """Indecomposable direct summands, with repetition: the images of
+    splitting idempotents of End_C(c), split again in turn.  The splitter
+    is the one modules.decompose uses."""
     if c.is_zero():
         return []
-    return [_module_to_complex(c.algebra, s)
-            for s in decompose(complex_to_module(c), rng)]
-
-
-def complexes_isomorphic(p: TwoTermComplex, q: TwoTermComplex) -> bool:
-    """Isomorphism in the homotopy category.  Both inputs must be minimal,
-    which enumeration and minimalize guarantee; minimal complexes are
-    homotopy equivalent exactly when the triangular modules match."""
-    if sorted(p.deg1) != sorted(q.deg1) or sorted(p.deg0) != sorted(q.deg0):
-        return False
-    from .modules import are_isomorphic
-
-    return are_isomorphic(complex_to_module(p), complex_to_module(q))
+    if rng is None:
+        rng = np.random.default_rng(0)
+    split = splitting_idempotents(_chain_map_blocks(c), c.algebra.field, rng)
+    if split is None:
+        return [c]
+    return [part for e in split
+            for part in decompose_complex(_image_complex(c, e), rng)]
 
 
 def isomorphic_by_top_trace(x: TwoTermComplex, y: TwoTermComplex) -> bool:
@@ -410,26 +357,51 @@ def isomorphic_by_top_trace(x: TwoTermComplex, y: TwoTermComplex) -> bool:
     N = |x.deg1| + |x.deg0|.  N is nonzero in F_p: a stalk has N = 1, and
     otherwise the rank-one test of mutation.require_local, which x passed
     or which the complex it is a Nakayama image of passed, fails when p
-    divides N.  So the pairing is nonzero at some g f exactly when some
-    g f is a unit, that is, when x is a direct summand of y.  The pairing
-    is bilinear, so it suffices to try pairs of basis maps.  A summand of
-    the minimal complex y is minimal, and minimal complexes are homotopy
-    equivalent exactly when they are isomorphic, so when y has the vertex
-    lists of x it has no other summand.  T(g f) is the product of the
-    trivial-path coefficient matrices of g and f, so the whole pairing is
-    one matrix product."""
+    divides N.  A summand x that decompose_complex returned passed the
+    splitter's rank-one trace test on End_C(x) instead, so End_C(x) is
+    local with residue field F_p, and so is End_K(x), its quotient by the
+    null-homotopic maps, which is nonzero as x is minimal.  That test, like
+    every trace certificate of the package, is exact only while the
+    dimension D of x^{-1} + x^0 over the ground field is below p, and
+    1 <= N <= D, so N is nonzero in F_p there too.
+
+    So the pairing is nonzero at some g f exactly when some g f is a unit,
+    that is, when x is a direct summand of y.  The pairing is bilinear, so
+    it suffices to try pairs of basis maps.  A summand of the minimal
+    complex y is minimal, and minimal complexes are homotopy equivalent
+    exactly when they are isomorphic, so when y has the vertex lists of x
+    it has no other summand.  T(g f) is the product of the trivial-path
+    coefficient matrices of g and f, so the whole pairing is one product
+    (modules._pairing_matrix)."""
     if sorted(x.deg1) != sorted(y.deg1) or sorted(x.deg0) != sorted(y.deg0):
         return False
     alg = x.algebra
-    fs = [np.concatenate([_tops(alg, y.deg1, f1).ravel(),
-                          _tops(alg, y.deg0, f0).ravel()])
+    fs = [{-1: _tops(alg, y.deg1, f1), 0: _tops(alg, y.deg0, f0)}
           for f1, f0 in chain_maps_mod_homotopy(x, y)]
-    gs = [np.concatenate([_tops(alg, x.deg1, g1).T.ravel(),
-                          _tops(alg, x.deg0, g0).T.ravel()])
+    gs = [{-1: _tops(alg, x.deg1, g1), 0: _tops(alg, x.deg0, g0)}
           for g1, g0 in chain_maps_mod_homotopy(y, x)]
-    if not fs or not gs:
+    return bool(_pairing_matrix(fs, gs, alg.field).any())
+
+
+def summand_classes(c: TwoTermComplex, rng=None) -> list:
+    """Indecomposable summands of a minimal complex grouped up to
+    isomorphism by the top-trace pairing: a list of (representative,
+    multiplicity)."""
+    classes, mults = iso_classes(decompose_complex(c, rng),
+                                 isomorphic_by_top_trace)
+    return list(zip(classes, mults))
+
+
+def complexes_isomorphic(p: TwoTermComplex, q: TwoTermComplex) -> bool:
+    """Isomorphism in the homotopy category.  Both inputs must be minimal,
+    which enumeration and minimalize guarantee; minimal complexes are
+    homotopy equivalent exactly when they are isomorphic, that is, when
+    they have the same vertex lists and the same summands up to the
+    top-trace pairing."""
+    if sorted(p.deg1) != sorted(q.deg1) or sorted(p.deg0) != sorted(q.deg0):
         return False
-    return bool(alg.field.matmul(np.array(fs), np.array(gs).T).any())
+    return same_summands(decompose_complex(p), decompose_complex(q),
+                         isomorphic_by_top_trace)
 
 
 # -- the Nakayama functor on complexes ----------------------------------------
@@ -446,20 +418,6 @@ def nu_complex(c: TwoTermComplex) -> TwoTermComplex:
 
 
 # -- silting and tilting -------------------------------------------------------
-
-
-def summand_classes(c: TwoTermComplex, rng=None) -> list:
-    """Indecomposable summands grouped up to isomorphism:
-    a list of (representative, multiplicity)."""
-    classes = []
-    for s in decompose_complex(c, rng):
-        for k, (rep, mult) in enumerate(classes):
-            if complexes_isomorphic(s, rep):
-                classes[k] = (rep, mult + 1)
-                break
-        else:
-            classes.append((s, 1))
-    return classes
 
 
 def is_two_term_presilting(c: TwoTermComplex) -> bool:

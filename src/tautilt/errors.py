@@ -26,9 +26,7 @@ class NonAdmissibleError(TautiltError):
 class FieldTooSmallError(TautiltError):
     """The prime is too small for the trace certificates used here: an
     algebra of dimension d needs p > 4 * d**2, for its modules and its
-    two-term complexes alike.  Decomposing a complex, which builds the
-    triangular algebra of dimension 3 * d, needs p > 36 * d**2; no command
-    line path does that."""
+    two-term complexes alike."""
 
 
 class PrimeTooLargeError(TautiltError):

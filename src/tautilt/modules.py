@@ -276,29 +276,23 @@ def hom_dim(m: Rep, n: Rep) -> int:
 
 
 def _pairing_matrix(fs: list, gs: list, field) -> np.ndarray:
-    """Traces of composites f then g, for f: M -> N and g: N -> M."""
-    out = field.zeros(len(fs), len(gs))
-    for i, f in enumerate(fs):
-        for j, g in enumerate(gs):
-            t = 0
-            for v in f.blocks:
-                t += int(np.trace(field.matmul(f.blocks[v], g.blocks[v])))
-            out[i, j] = t % field.p
-    return out
-
-
-def end_gram(m: Rep, ends: list | None = None) -> np.ndarray:
-    ends = hom_basis(m, m) if ends is None else ends
-    return _pairing_matrix(ends, ends, m.algebra.field)
+    """Traces of composites f then g, for per-vertex block families
+    f: M -> N and g: N -> M (dicts from vertex to block, keyed alike), as
+    one product: tr(F G) = vec(F) . vec(G^T), summed over the vertices."""
+    if not fs or not gs:
+        return field.zeros(len(fs), len(gs))
+    keys = list(fs[0])
+    left = np.array([np.concatenate([f[v].ravel() for v in keys]) for f in fs])
+    right = np.array([np.concatenate([g[v].T.ravel() for v in keys])
+                      for g in gs])
+    return field.matmul(left, right.T)
 
 
 def is_indecomposable(m: Rep) -> bool:
-    """Whether the endomorphism ring is local: the trace form on it has
-    rank one, the dimension of the semisimple quotient."""
+    """Whether the endomorphism ring is local (_is_local)."""
     if m.is_zero():
         raise ZeroModuleError("the zero module is not indecomposable")
-    field = m.algebra.field
-    return field.rank(end_gram(m)) == 1
+    return _is_local([f.blocks for f in hom_basis(m, m)], m.algebra.field)
 
 
 # -- submodules, quotients, radical, socle ----------------------------------
@@ -572,17 +566,26 @@ def _poly_eval(coeffs: list, blocks: dict, field) -> dict:
     return out
 
 
-def _splitting_idempotent(m: Rep, u: RepMap):
-    """A nontrivial idempotent endomorphism commuting with u, or None.
+def _is_local(ends: list, field) -> bool:
+    """Whether the ring spanned by ends, a basis of the endomorphisms of
+    some object as per-vertex block families, is local with residue field
+    F_p: its trace form has rank one, the dimension of the semisimple
+    quotient.  Exact while the indecomposable summands have dimension
+    below p."""
+    return field.rank(_pairing_matrix(ends, ends, field)) == 1
+
+
+def _idempotent_of(u: dict, field) -> dict | None:
+    """A nontrivial idempotent that is a polynomial in the block family u,
+    or None.
 
     Factors the minimal polynomial of u; coprime factors give an exact
     idempotent via the extended Euclidean algorithm, no lifting involved.
     """
     import sympy
 
-    field = m.algebra.field
     p = field.p
-    blocks = {v: u.blocks[v] for v in u.blocks if u.blocks[v].shape[0] > 0}
+    blocks = {v: b for v, b in u.items() if b.shape[0] > 0}
     if not blocks:
         return None
     coeffs = _min_poly_coeffs(blocks, field)
@@ -603,52 +606,53 @@ def _splitting_idempotent(m: Rep, u: RepMap):
     hinv = field.inv_scalar(int(h.all_coeffs()[-1]))
     proj_poly = t * f2
     pcoeffs = [int(c) * hinv % p for c in reversed(proj_poly.all_coeffs())]
-    eps_blocks = _poly_eval(pcoeffs, {v: u.blocks[v] for v in u.blocks}, field)
-    eps = RepMap(m, m, eps_blocks)
-    ranks = sum(field.rank(b) for b in eps.blocks.values())
-    if ranks == 0 or ranks == m.total_dim:
+    eps = _poly_eval(pcoeffs, u, field)
+    ranks = sum(field.rank(b) for b in eps.values())
+    if ranks == 0 or ranks == sum(b.shape[0] for b in eps.values()):
         return None
-    check = eps.compose(eps)
-    for v in eps.blocks:
-        if (check.blocks[v] != eps.blocks[v]).any():
+    for b in eps.values():
+        if (field.matmul(b, b) != b).any():
             raise AssertionError("idempotent construction failed")
     return eps
 
 
+def splitting_idempotents(ends: list, field, rng) -> tuple | None:
+    """Complementary nontrivial idempotents (e, 1 - e) in the ring spanned
+    by ends, or None when that ring is local (_is_local).  ends is a basis
+    of the endomorphisms of some object, each a family of blocks keyed by
+    vertex: a module map, or the per-vertex blocks of a chain map on both
+    degrees of a complex.  Each basis element is tried, then random
+    combinations of them."""
+    if _is_local(ends, field):
+        return None
+    p = field.p
+    candidates = list(ends)
+    for _ in range(200):
+        for u in candidates:
+            eps = _idempotent_of(u, field)
+            if eps is not None:
+                return eps, {v: (field.identity(b.shape[0]) - b) % p
+                             for v, b in eps.items()}
+        coeffs = rng.integers(0, p, size=len(ends))
+        candidates = [{v: sum(int(c) * f[v] % p for c, f in zip(coeffs, ends))
+                       % p for v in ends[0]}]
+    raise RandomnessExhaustedError(
+        "no splitting endomorphism found for a decomposable object"
+    )
+
+
 def decompose(m: Rep, rng=None) -> list:
-    """Indecomposable summands of m, with repetition, as a list of Rep."""
+    """Indecomposable summands of m, with repetition, as a list of Rep: the
+    images of splitting idempotents of End(m), split again in turn."""
     if m.is_zero():
         return []
     if rng is None:
         rng = np.random.default_rng(0)
-    field = m.algebra.field
-    ends = hom_basis(m, m)
-    if field.rank(_pairing_matrix(ends, ends, field)) == 1:
+    split = splitting_idempotents([f.blocks for f in hom_basis(m, m)],
+                                  m.algebra.field, rng)
+    if split is None:
         return [m]
-    candidates = list(ends)
-    for _ in range(200):
-        for u in candidates:
-            eps = _splitting_idempotent(m, u)
-            if eps is None:
-                continue
-            one_minus = RepMap(m, m, {
-                v: (field.identity(m.dims[v]) - eps.blocks[v]) % field.p
-                for v in eps.blocks})
-            out = []
-            for part in (eps, one_minus):
-                rows = {v: field.row_space_basis(part.blocks[v])
-                        for v in part.blocks}
-                summand, _ = sub_rep(m, rows)
-                out.extend(decompose(summand, rng))
-            return out
-        coeffs = rng.integers(0, field.p, size=len(ends))
-        blocks = {v: sum(int(c) * f.blocks[v] % field.p
-                         for c, f in zip(coeffs, ends)) % field.p
-                  for v in m.dims}
-        candidates = [RepMap(m, m, blocks)]
-    raise RandomnessExhaustedError(
-        "no splitting endomorphism found for a decomposable module"
-    )
+    return [part for e in split for part in decompose(sub_rep(m, e)[0], rng)]
 
 
 def _indec_iso(m: Rep, n: Rep) -> bool:
@@ -657,21 +661,21 @@ def _indec_iso(m: Rep, n: Rep) -> bool:
     an isomorphism pairs with its inverse to the total dimension."""
     if m.dim_vector() != n.dim_vector():
         return False
-    field = m.algebra.field
     fs = hom_basis(m, n)
     if not fs:
         return False
     gs = hom_basis(n, m)
-    return _pairing_matrix(fs, gs, field).any()
+    return _pairing_matrix([f.blocks for f in fs], [g.blocks for g in gs],
+                           m.algebra.field).any()
 
 
-def iso_classes(parts: list) -> tuple:
+def iso_classes(parts: list, iso=_indec_iso) -> tuple:
     """(classes, multiplicities) of a list of indecomposables, with the
-    classes in the order of their first appearance."""
+    classes in the order of their first appearance; iso tests two of them
+    for isomorphism."""
     classes, mults = [], []
     for part in parts:
-        hit = next((k for k, c in enumerate(classes) if _indec_iso(part, c)),
-                   None)
+        hit = next((k for k, c in enumerate(classes) if iso(part, c)), None)
         if hit is None:
             classes.append(part)
             mults.append(1)
@@ -680,21 +684,27 @@ def iso_classes(parts: list) -> tuple:
     return classes, mults
 
 
+def same_summands(parts_m: list, parts_n: list, iso=_indec_iso) -> bool:
+    """Whether two lists of indecomposables agree up to isomorphism and
+    order; iso tests two of them for isomorphism.  By Krull-Schmidt, two
+    objects are isomorphic exactly when their summand lists agree."""
+    parts_n = list(parts_n)
+    if len(parts_m) != len(parts_n):
+        return False
+    for a in parts_m:
+        hit = next((k for k, b in enumerate(parts_n) if iso(a, b)), None)
+        if hit is None:
+            return False
+        parts_n.pop(hit)
+    return True
+
+
 def are_isomorphic(m: Rep, n: Rep, rng=None) -> bool:
     if m.dim_vector() != n.dim_vector():
         return False
     if m.is_zero():
         return True
-    parts_m = decompose(m, rng)
-    parts_n = list(decompose(n, rng))
-    if len(parts_m) != len(parts_n):
-        return False
-    for a in parts_m:
-        hit = next((k for k, b in enumerate(parts_n) if _indec_iso(a, b)), None)
-        if hit is None:
-            return False
-        parts_n.pop(hit)
-    return True
+    return same_summands(decompose(m, rng), decompose(n, rng))
 
 
 # -- ext groups and extensions ----------------------------------------------

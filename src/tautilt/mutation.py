@@ -59,6 +59,7 @@ from .errors import (
     NotSiltingError,
     TheoremViolationError,
 )
+from .modules import _is_local
 
 
 def _radical_maps(q: TwoTermComplex, maps: tuple, same: bool) -> tuple:
@@ -210,15 +211,10 @@ def require_local(c: TwoTermComplex) -> None:
 
 def _require_local(c: TwoTermComplex, ends) -> None:
     """require_local with ends, a basis of End_K(c), given."""
-    field = c.algebra.field
-    tops = [top_action(c, f1, f0) for f1, f0 in ends]
-    if tops:
-        gram = field.matmul(np.array([t.ravel() for t in tops]),
-                            np.array([t.T.ravel() for t in tops]).T)
-        if field.rank(gram) == 1:
-            return
-    raise MutationAmbiguousError(
-        "mutation produced a complex whose endomorphism ring is not local")
+    if not _is_local([{0: top_action(c, f1, f0)} for f1, f0 in ends],
+                     c.algebra.field):
+        raise MutationAmbiguousError(
+            "mutation produced a complex whose endomorphism ring is not local")
 
 
 def mutate_summand(x: TwoTermComplex, q_reps: list, *,

@@ -51,12 +51,12 @@ from .errors import (
 from .modules import (
     Rep,
     _indec_iso,
-    are_isomorphic,
     direct_sum,
     dual,
     fac_contains,
     hom_dim as module_hom_dim,
     is_indecomposable,
+    iso_classes,
     minimal_presentation,
     regular,
     syzygy,
@@ -354,10 +354,7 @@ def _complex_to_pair_unchecked(c: TwoTermComplex, rng=None) -> STPair:
                 raise AssertionError(
                     "a minimal non-stalk summand has zero cokernel")
             mods.append(m)
-    kept = []
-    for m in mods:
-        if not any(are_isomorphic(m, k, rng) for k in kept):
-            kept.append(m)
+    kept, _ = iso_classes(mods)
     return make_pair(c.algebra, kept, pverts)
 
 

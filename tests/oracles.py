@@ -4,19 +4,24 @@ Everything here deliberately avoids the code path it checks: hom
 dimensions come from a loop-assembled linear system with its own row
 reduction, translates come from the syzygy route, the preprojective
 indecomposable list comes from translate-closure of a seed rather than
-from any enumeration walk, and mutation goes through the universal
-approximation and decomposition rather than the minimal approximation.
+from any enumeration walk, mutation goes through the universal
+approximation and decomposition rather than the minimal approximation,
+and complexes are decomposed and compared as modules over the triangular
+matrix algebra rather than by idempotents of their chain-map rings.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from tautilt.algebra import Arrow, Quiver, Relation, build_algebra
+from tautilt.complexes import TwoTermComplex
+from tautilt.errors import FieldTooSmallError, PrimeTooLargeError
 from tautilt.modules import (
     Rep,
     RepMap,
-    _pairing_matrix,
     are_isomorphic,
+    decompose,
     direct_sum,
     dual,
     elements_to_repmap,
@@ -24,6 +29,7 @@ from tautilt.modules import (
     injective,
     minimal_presentation,
     projective,
+    projective_cover,
     quotient_rep,
     radical_rows,
     repmap_to_elements,
@@ -115,6 +121,19 @@ def brute_hom_dim(m: Rep, n: Rep) -> int:
     return total - gauss_rank(rows, p)
 
 
+def loop_pairing_matrix(fs: list, gs: list, field) -> np.ndarray:
+    """Traces of composites f then g, for per-vertex block families
+    f: M -> N and g: N -> M, one trace of one block product at a time."""
+    out = field.zeros(len(fs), len(gs))
+    for i, f in enumerate(fs):
+        for j, g in enumerate(gs):
+            t = 0
+            for v in f:
+                t += int(np.trace(field.matmul(f[v], g[v])))
+            out[i, j] = t % field.p
+    return out
+
+
 # -- complex hom oracle -----------------------------------------------------------
 
 
@@ -193,6 +212,111 @@ def brute_complex_hom_dim(p, q, shift: int = 0) -> int:
     return chain_maps - gauss_rank(homotopies, prime)
 
 
+# -- the triangular route for complexes ------------------------------------------
+
+
+def triangular_algebra(algebra):
+    """The lower triangular matrix algebra of A, as a bound quiver algebra.
+    Vertices 1..n are the degree -1 layer, n+1..2n the degree 0 layer, with
+    a connecting arrow per vertex and commutation relations.  It has
+    dimension 3d for A of dimension d, so the bounds on the prime are
+    stated here in terms of d."""
+    if "triangular" not in algebra._cache:
+        d, p = algebra.dim, algebra.field.p
+        if p <= 36 * d * d:
+            raise FieldTooSmallError(
+                f"p = {p} too small for two-term complexes over an algebra "
+                f"of dimension {d}: need p > 36 * {d}^2 = {36 * d * d}")
+        if algebra.field.max_terms < 3 * d:
+            raise PrimeTooLargeError(
+                f"p = {p} too large for two-term complexes over an algebra "
+                f"of dimension {d}: need {3 * d} * (p-1)^2 + (p-1) < 2^63")
+        n = algebra.num_vertices
+        quiver = algebra.quiver
+        arrows = []
+        for a in quiver.arrows:
+            arrows.append(Arrow(f"{a.name}@1", a.source, a.target))
+        for a in quiver.arrows:
+            arrows.append(Arrow(f"{a.name}@0", a.source + n, a.target + n))
+        for v in range(1, n + 1):
+            arrows.append(Arrow(f"@{v}", v, v + n))
+        rels = []
+        for src, tgt, _, terms in algebra.normalised_relations():
+            for layer in ("1", "0"):
+                rels.append(Relation(tuple(
+                    (coeff, tuple(f"{quiver.arrows[ai].name}@{layer}"
+                                  for ai in ids))
+                    for coeff, ids in terms)))
+        for a in quiver.arrows:
+            rels.append(Relation((
+                (1, (f"@{a.source}", f"{a.name}@0")),
+                (-1, (f"{a.name}@1", f"@{a.target}")),
+            )))
+        tri = build_algebra(Quiver(2 * n, arrows), rels, algebra.field)
+        if tri.dim != 3 * algebra.dim:
+            raise AssertionError("triangular algebra has the wrong dimension")
+        algebra._cache["triangular"] = tri
+    return algebra._cache["triangular"]
+
+
+def complex_to_module(c) -> Rep:
+    """A two-term complex as a module over the triangular algebra."""
+    alg = c.algebra
+    n = alg.num_vertices
+    tri = triangular_algebra(alg)
+    f = c.expand()
+    dims = {}
+    maps = {}
+    for v in range(1, n + 1):
+        dims[v] = f.src.dims[v]
+        dims[v + n] = f.tgt.dims[v]
+        maps[f"@{v}"] = f.blocks[v]
+    for a in alg.quiver.arrows:
+        maps[f"{a.name}@1"] = f.src.maps[a.name]
+        maps[f"{a.name}@0"] = f.tgt.maps[a.name]
+    return Rep(tri, dims, maps, check=False)
+
+
+def _module_to_complex(algebra, s: Rep):
+    """Back from a triangular module whose layers are projective; the
+    layers are re-coordinatised onto the path basis through their covers."""
+    n = algebra.num_vertices
+    layer1 = Rep(algebra, {v: s.dims[v] for v in range(1, n + 1)},
+                 {a.name: s.maps[f"{a.name}@1"] for a in algebra.quiver.arrows},
+                 check=False)
+    layer0 = Rep(algebra, {v: s.dims[v + n] for v in range(1, n + 1)},
+                 {a.name: s.maps[f"{a.name}@0"] for a in algebra.quiver.arrows},
+                 check=False)
+    conn = RepMap(layer1, layer0,
+                  {v: s.maps[f"@{v}"] for v in range(1, n + 1)})
+    _, cm1, verts1 = projective_cover(layer1)
+    _, cm0, verts0 = projective_cover(layer0)
+    if not (cm1.is_iso() and cm0.is_iso()):
+        raise AssertionError("triangular summand has a non-projective layer")
+    comp = cm1.compose(conn).compose(cm0.inverse())
+    return TwoTermComplex(algebra, verts1, verts0,
+                          repmap_to_elements(comp, verts1, verts0),
+                          check=False)
+
+
+def triangular_decompose(c, rng=None) -> list:
+    """Indecomposable direct summands, with repetition, as the summands of
+    the triangular module."""
+    if c.is_zero():
+        return []
+    return [_module_to_complex(c.algebra, s)
+            for s in decompose(complex_to_module(c), rng)]
+
+
+def triangular_isomorphic(p, q) -> bool:
+    """Isomorphism in the homotopy category.  Both inputs must be minimal,
+    which enumeration and minimalize guarantee; minimal complexes are
+    homotopy equivalent exactly when the triangular modules match."""
+    if sorted(p.deg1) != sorted(q.deg1) or sorted(p.deg0) != sorted(q.deg0):
+        return False
+    return are_isomorphic(complex_to_module(p), complex_to_module(q))
+
+
 # -- mutation oracle --------------------------------------------------------------
 
 
@@ -200,8 +324,8 @@ def universal_mutation(x, q_reps: list, rng=None):
     """Mutation at x by the universal add(Q)-approximation: every chain map
     in a basis modulo homotopy to (or from) each fixed summand, so the
     reduced cone carries extra add(Q) summands beside the new one; they are
-    split off by decompose_complex and dropped by g-vector."""
-    from tautilt.complexes import chain_maps_mod_homotopy, decompose_complex
+    split off by the triangular route and dropped by g-vector."""
+    from tautilt.complexes import chain_maps_mod_homotopy
     from tautilt.mutation import _left_candidate, _right_candidate, g_vector_key
 
     left = _left_candidate(x, [(q, f1, f0) for q in q_reps
@@ -210,7 +334,7 @@ def universal_mutation(x, q_reps: list, rng=None):
                                  for g1, g0 in chain_maps_mod_homotopy(q, x)])
     (cone,) = [c for c in (left, right) if c is not None]
     fixed = {g_vector_key(q) for q in q_reps}
-    (new,) = [s for s in decompose_complex(cone, rng)
+    (new,) = [s for s in triangular_decompose(cone, rng)
               if g_vector_key(s) not in fixed]
     assert g_vector_key(new) != g_vector_key(x)
     return new
@@ -239,7 +363,7 @@ def whole_sum_check_flags(algebra, expr: str, pverts: tuple,
     sum, and test tau-rigidity, stability and translate symmetry on the
     sum itself.  Returns {"code", "basic", "flags"}; code 2 with basic and
     flags None where check rejects the input."""
-    from tautilt.modules import decompose, hom_dim
+    from tautilt.modules import hom_dim
     from tautilt.textio import parse_module_expr
     from tautilt.translate import is_selfinjective
 
@@ -288,7 +412,8 @@ def extract_iso(m: Rep, n: Rep) -> RepMap | None:
     field = m.algebra.field
     fs = hom_basis(m, n)
     gs = hom_basis(n, m)
-    pair = _pairing_matrix(fs, gs, field)
+    pair = loop_pairing_matrix([f.blocks for f in fs],
+                               [g.blocks for g in gs], field)
     idx = np.argwhere(pair)
     if idx.size == 0:
         return None
@@ -509,7 +634,6 @@ def translate_closure_indecomposables(algebra) -> list:
     def keep(m):
         if m.total_dim == 0:
             return False
-        from tautilt.modules import decompose
         for part in decompose(m):
             if not any(part.dim_vector() == k.dim_vector()
                        and are_isomorphic(part, k) for k in classes):
@@ -552,6 +676,71 @@ def brute_force_pairs(algebra, indecs: list) -> list:
             if is_support_tau_tilting_pair(pair):
                 found.append(pair)
     return found
+
+
+# -- preprojective algebras of type D and their Weyl groups ----------------------
+
+
+def preprojective_d(n: int) -> str:
+    """Pi(D_n) in the text format: the doubled quiver of the D_n graph, the
+    path 1 - 2 - ... - (n-1) with vertex n joined to n-2, and at each
+    vertex v the mesh relation sum of a astar over the arrows a leaving v
+    minus sum of astar a over the arrows a entering v."""
+    if n < 4:
+        raise ValueError("type D needs n >= 4")
+    edges = [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)]
+    names = [f"x{k}" for k in range(1, len(edges) + 1)]
+    lines = [f"# preprojective algebra of the D{n} graph", f"vertices {n}"]
+    for (s, t), a in zip(edges, names):
+        lines += [f"arrow {a} {s} -> {t}", f"arrow {a}star {t} -> {s}"]
+    lines.append("relations:")
+    for v in range(1, n + 1):
+        out = [f"{a}*{a}star" for (s, _), a in zip(edges, names) if s == v]
+        into = [f"{a}star*{a}" for (_, t), a in zip(edges, names) if t == v]
+        if out:
+            lines.append(" - ".join([" + ".join(out)] + into) + " = 0")
+        else:
+            lines.append(" + ".join(into) + " = 0")
+    return "\n".join(lines) + "\n"
+
+
+def weyl_group_d(n: int) -> tuple:
+    """(|W|, |C_W(w0)|) for the Weyl group W of type D_n, by brute force.
+    W is listed as the signed permutations with an even number of sign
+    changes, w[i] = s * (j + 1) meaning e_{i+1} -> s e_{j+1}; w0 is found as
+    the element that sends every positive root e_i - e_j, e_i + e_j (i < j)
+    to a negative one, and its centraliser is counted element by element."""
+    from itertools import permutations, product
+
+    group = [tuple(s * (j + 1) for s, j in zip(signs, perm))
+             for perm in permutations(range(n))
+             for signs in product((1, -1), repeat=n)
+             if signs.count(-1) % 2 == 0]
+
+    def image(w, signed):
+        return w[abs(signed) - 1] * (1 if signed > 0 else -1)
+
+    def compose(w, u):
+        return tuple(image(w, x) for x in u)
+
+    def act(w, vec):
+        out = [0] * n
+        for i, c in enumerate(vec):
+            j = image(w, i + 1)
+            out[abs(j) - 1] += c * (1 if j > 0 else -1)
+        return tuple(out)
+
+    positive = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            for sign in (1, -1):
+                vec = [0] * n
+                vec[i], vec[j] = 1, sign
+                positive.add(tuple(vec))
+    (w0,) = [w for w in group
+             if all(tuple(-x for x in act(w, r)) in positive for r in positive)]
+    central = sum(compose(u, w0) == compose(w0, u) for u in group)
+    return len(group), central
 
 
 # -- pair set comparison ------------------------------------------------------------

@@ -11,7 +11,12 @@ import pytest
 from sympy import nextprime
 
 from tautilt.cli import main
-from tautilt.textio import parse_algebra_file, parse_algebra_text
+from tautilt.pairs import complex_to_pair, make_pair, pair_to_complex
+from tautilt.textio import (
+    parse_algebra_file,
+    parse_algebra_text,
+    parse_module_expr,
+)
 
 import oracles
 
@@ -249,17 +254,41 @@ def test_enumerate_at_largest_accepted_prime(capsys, data_dir):
 
 
 def test_walk_never_builds_the_triangular_algebra(capsys, monkeypatch,
-                                                  data_dir, algebras):
-    from tautilt import cli
+                                                  data_dir, algebras,
+                                                  tmp_path):
+    # every command, and the inverse transport of the library, builds the
+    # algebra it reads and at most that algebra's opposite
+    from tautilt.algebra import build_algebra
 
-    # fresh algebras: other tests build the triangular algebra of theirs
-    for alg in (parse_algebra_file(str(data_dir / "nakayama6.alg")),
-                parse_algebra_text(algebras.preprojective(4))):
-        monkeypatch.setattr(cli, "parse_algebra_file", lambda *_: alg)
-        code, _, _ = run(capsys, "enumerate", "given.alg",
-                         "--filter", "nu-stable")
-        assert code == 0
-        assert "triangular" not in alg._cache
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0].num_vertices)
+        return build_algebra(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tautilt") and hasattr(module, "build_algebra"):
+            monkeypatch.setattr(module, "build_algebra", counting)
+    pa4 = tmp_path / "pa4.alg"
+    pa4.write_text(algebras.preprojective(4))
+    nak6 = str(data_dir / "nakayama6.alg")
+    nak4 = str(data_dir / "nakayama4.alg")
+    for argv in (("enumerate", nak6, "--filter", "nu-stable"),
+                 ("enumerate", str(pa4), "--filter", "nu-stable"),
+                 ("check", nak4, "S(1)+P(1)+S(3)+P(3)", "--require",
+                  "support-tau-tilting,nu-stable"),
+                 ("phi", nak4, "S(1)+P(1)+S(3)+P(3)"),
+                 ("report-2cy", nak4)):
+        built.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert 1 <= len(built) <= 2, argv
+    built.clear()
+    alg = parse_algebra_file(nak4)
+    mods = [parse_module_expr(alg, s) for s in ("S(1)", "P(1)", "S(3)", "P(3)")]
+    pair = complex_to_pair(pair_to_complex(make_pair(alg, mods, ())))
+    assert len(pair.modules) == 4
+    assert 1 <= len(built) <= 2
 
 
 @pytest.mark.parametrize("argv, golden", [

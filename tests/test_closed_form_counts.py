@@ -1,7 +1,8 @@
 """Support tau-tilting counts against closed forms from the literature,
-on algebras built by the benchmark's generator: C(2n, n) for the
-selfinjective Nakayama algebra with n simples and Loewy length n (Adachi,
-J. Algebra 2016) and (n+1)! for the preprojective algebra of A_n (Mizuno,
+on algebras built by the benchmark's generator and by the oracles:
+C(2n, n) for the selfinjective Nakayama algebra with n simples and Loewy
+length n (Adachi, J. Algebra 2016), and the order of the Weyl group W for
+the preprojective algebra of a Dynkin graph, (n+1)! for A_n (Mizuno,
 Math. Z. 2014).  All of them run at the default prime."""
 
 import math
@@ -10,6 +11,8 @@ import pytest
 
 from tautilt.pairs import enumerate_nu_stable, enumerate_support_tau_tilting
 from tautilt.textio import parse_algebra_text
+
+import oracles
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -42,3 +45,16 @@ def test_preprojective_a5_nu_stable_count(algebras):
     assert len(stable.silting.nodes) == math.factorial(6)
     assert len(stable.silting.registry) == 2**6 - 2
     assert len(stable.pairs) == 2**3 * math.factorial(3)
+
+
+def test_preprojective_d4_every_node_is_stable():
+    """192 = |W(D4)| nodes, all of them stable.  By the argument for A_5
+    above, the stable nodes are the w commuting with w0; in W(D4),
+    w0 = -1 is central, so that is all of W.  Both orders come from the
+    signed-permutation oracle."""
+    order, centraliser = oracles.weyl_group_d(4)
+    assert (order, centraliser) == (192, 192)
+    stable = enumerate_nu_stable(parse_algebra_text(oracles.preprojective_d(4)))
+    assert stable.status == "COMPLETE"
+    assert len(stable.silting.nodes) == order
+    assert len(stable.pairs) == centraliser

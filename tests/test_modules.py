@@ -6,8 +6,11 @@ the multisets below exhaust all such modules up to isomorphism."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tautilt.field import PrimeField
 from tautilt.modules import (
+    _pairing_matrix,
     are_isomorphic,
     decompose,
     direct_sum,
@@ -201,3 +204,22 @@ def test_zero_module_edge_cases(nak4):
     assert are_isomorphic(z, zero_module(nak4))
     assert not are_isomorphic(z, simple(nak4, 1))
     assert hom_dim(z, simple(nak4, 1)) == 0
+
+
+@given(st.sampled_from([2, 3, 97, oracles.largest_exact_prime(2)]),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                min_size=1, max_size=3),
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_pairing_matrix_matches_the_loop(p, dims, nf, ng, seed):
+    # at the largest prime matmul sums at most two products at a time, so
+    # every pairing with more terms goes through its chunks
+    field = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    fs = [{v: rng.integers(0, p, size=(a, b)) for v, (a, b) in enumerate(dims)}
+          for _ in range(nf)]
+    gs = [{v: rng.integers(0, p, size=(b, a)) for v, (a, b) in enumerate(dims)}
+          for _ in range(ng)]
+    got = _pairing_matrix(fs, gs, field)
+    assert got.shape == (nf, ng)
+    assert (got == oracles.loop_pairing_matrix(fs, gs, field)).all()

@@ -34,6 +34,13 @@ from tautilt.pairs import (
 from tautilt.modules import dual
 from tautilt.translate import tau, tau_minus
 from tautilt.modules import are_isomorphic
+from tautilt.complexes import is_two_term_tilting
+from tautilt.mutation import (
+    enumerate_two_term_silting,
+    g_vector_key,
+    mutate_silting,
+)
+from tautilt.textio import parse_algebra_file, parse_algebra_text
 
 import oracles
 
@@ -91,6 +98,46 @@ def test_pair_complex_roundtrip(nak4_pairs, rng):
     for pair in sample:
         back = complex_to_pair(pair_to_complex(pair))
         assert oracles.pairs_match(pair, back)
+
+
+def _sampled_node_answers(algebra) -> dict:
+    """Keyed by the g-vectors of its summands, for every tenth silting
+    node: the inverse transport (dimension vectors and complement
+    vertices), the tilting flag, and the g-vectors mutation reaches."""
+    run = enumerate_two_term_silting(algebra)
+    items = run.registry.items
+    keyed = sorted(((tuple(sorted(g_vector_key(items[i]) for i in node)), node)
+                    for node in run.nodes), key=lambda kv: kv[0])
+    out = {}
+    for key, node in keyed[::10]:
+        c = run.node_complex(node)
+        pair = complex_to_pair(c)
+        out[key] = (sorted(m.dim_vector() for m in pair.modules),
+                    sorted(pair.pverts), is_two_term_tilting(c),
+                    {g_vector_key(mutate_silting(c, k))
+                     for k in range(algebra.num_vertices)})
+    return out
+
+
+def test_inverse_transport_above_the_module_bound(data_dir):
+    # nakayama4 has dimension 12: 4 * 12^2 = 576 < 5179 < 36 * 12^2 = 5184,
+    # and complexes need only the bound of the algebra
+    path = str(data_dir / "nakayama4.alg")
+    low = _sampled_node_answers(parse_algebra_file(path, 5179))
+    assert {tilting for _, _, tilting, _ in low.values()} == {False, True}
+    assert low == _sampled_node_answers(parse_algebra_file(path, 32003))
+
+
+def test_inverse_transport_on_preprojective_a5(algebras):
+    # dimension 35 at the default prime: 4 * 35^2 = 4900 < 32003 < 44100
+    alg = parse_algebra_text(algebras.preprojective(5))
+    run = enumerate_two_term_silting(alg)
+    items = run.registry.items
+    node = next(node for node in run.nodes if run.is_node_tilting(node)
+                and any(items[i].deg1 and items[i].deg0 for i in node))
+    pair = complex_to_pair(run.node_complex(node))
+    assert len(pair.modules) + len(pair.pverts) == 5
+    assert is_nu_stable_pair(pair)
 
 
 def test_pair_to_complex_rejects_non_pairs(nak4):
