@@ -102,10 +102,20 @@ class PrimeField:
         """Reduced row echelon form.
 
         Returns (r, pivots) where pivots lists the pivot column of each
-        nonzero row of r, in order.
+        nonzero row of r, in order.  A matrix with a zero side or a single
+        row needs no elimination loop.
         """
-        a = self.reduce(a).copy()
+        a = self.reduce(a)  # a fresh array, safe to work on in place
         rows, cols = a.shape
+        if rows == 0 or cols == 0:
+            return a, []
+        if rows == 1:
+            nz = a[0].nonzero()[0]
+            if nz.size == 0:
+                return a, []
+            c = int(nz[0])
+            a[0] = (a[0] * self.inv_scalar(a[0, c])) % self.p
+            return a, [c]
         pivots: list[int] = []
         r = 0
         for c in range(cols):
@@ -179,8 +189,9 @@ class PrimeField:
     def inverse(self, a: np.ndarray) -> np.ndarray:
         if a.shape[0] != a.shape[1]:
             raise ValueError("inverse of a non-square matrix")
+        # a @ x = 1 has a solution only when the square matrix a is invertible
         x = self.solve_right(a, self.identity(a.shape[0]))
-        if x is None or self.rank(a) != a.shape[0]:
+        if x is None:
             raise ValueError("matrix is singular")
         return x
 

@@ -12,6 +12,10 @@ from the projective at vertex i to the projective at vertex j is left
 multiplication by an element of e_j A e_i, and a map of finite sums is an
 element matrix indexed (target summand, source summand) so that composition
 is the ordinary matrix product over the algebra.
+
+A block with a zero side is never eliminated: loops over vertices and
+arrows skip zero vertex spaces, and Hom systems have unknowns only where
+both modules are nonzero.
 """
 
 from __future__ import annotations
@@ -43,15 +47,18 @@ class Rep:
         field = algebra.field
         self.maps = {}
         for a in algebra.quiver.arrows:
+            shape = (self.dims[a.source], self.dims[a.target])
             m = maps.get(a.name)
             if m is None:
-                m = field.zeros(self.dims[a.source], self.dims[a.target])
-            m = field.reduce(m)
-            if m.shape != (self.dims[a.source], self.dims[a.target]):
-                raise ValueError(
-                    f"arrow {a.name}: matrix shape {m.shape} does not match "
-                    f"({self.dims[a.source]}, {self.dims[a.target]})"
-                )
+                m = field.zeros(*shape)
+            else:
+                m = np.asarray(m, dtype=np.int64)
+                if m.shape != shape:
+                    raise ValueError(
+                        f"arrow {a.name}: matrix shape {m.shape} does not "
+                        f"match {shape}")
+                if m.size:
+                    m = field.reduce(m)
             self.maps[a.name] = m
         if check:
             self._validate()
@@ -112,12 +119,16 @@ class RepMap:
         field = src.algebra.field
         self.blocks = {}
         for v in src.dims:
+            shape = (src.dims[v], tgt.dims[v])
             b = blocks.get(v)
             if b is None:
-                b = field.zeros(src.dims[v], tgt.dims[v])
-            b = field.reduce(b)
-            if b.shape != (src.dims[v], tgt.dims[v]):
-                raise ValueError(f"vertex {v}: block shape {b.shape} is wrong")
+                b = field.zeros(*shape)
+            else:
+                b = np.asarray(b, dtype=np.int64)
+                if b.shape != shape:
+                    raise ValueError(f"vertex {v}: block shape {b.shape} is wrong")
+                if b.size:
+                    b = field.reduce(b)
             self.blocks[v] = b
 
     def compose(self, other: "RepMap") -> "RepMap":
@@ -240,33 +251,43 @@ def hom_basis(m: Rep, n: Rep) -> list:
     """Basis of the space of module maps m -> n."""
     alg = _check_same(m, n)
     field = alg.field
-    verts = sorted(m.dims)
-    sizes = {v: m.dims[v] * n.dims[v] for v in verts}
+    # unknowns: the entries of f_v, row-major, where m and n are both nonzero
+    verts = [v for v in sorted(m.dims) if m.dims[v] and n.dims[v]]
+    if not verts:
+        return []
     offset = {}
     pos = 0
     for v in verts:
         offset[v] = pos
-        pos += sizes[v]
+        pos += m.dims[v] * n.dims[v]
     total = pos
     crows = []
     for a in alg.quiver.arrows:
         s, t = a.source, a.target
-        rcount = m.dims[s] * n.dims[t]
-        if rcount == 0:
+        ms, nt = m.dims[s], n.dims[t]
+        if not ms or not nt or (s not in offset and t not in offset):
             continue
-        blk = field.zeros(rcount, total)
-        # f_s @ n_a - m_a @ f_t = 0, vectorised row-major
-        blk[:, offset[s]:offset[s] + sizes[s]] = np.kron(
-            field.identity(m.dims[s]), n.maps[a.name].T)
-        blk[:, offset[t]:offset[t] + sizes[t]] = (
-            blk[:, offset[t]:offset[t] + sizes[t]]
-            - np.kron(m.maps[a.name], field.identity(n.dims[t]))) % field.p
+        # f_s @ n_a - m_a @ f_t = 0, one row per entry (i, j) of the
+        # (ms, nt) product: f_s[i, k] has coefficient n_a[k, j], f_t[k, j]
+        # has coefficient -m_a[i, k]; on a loop both land on f_s
+        blk = field.zeros(ms * nt, total)
+        if s in offset:
+            ns = n.dims[s]
+            term = (field.identity(ms)[:, None, :, None]
+                    * n.maps[a.name].T[None, :, None, :])
+            blk[:, offset[s]:offset[s] + ms * ns] = term.reshape(ms * nt, ms * ns)
+        if t in offset:
+            mt = m.dims[t]
+            term = (m.maps[a.name][:, None, :, None]
+                    * field.identity(nt)[None, :, None, :])
+            blk[:, offset[t]:offset[t] + mt * nt] -= term.reshape(ms * nt, mt * nt)
         crows.append(blk)
+    # rref reduces the negative entries into [0, p)
     c = np.vstack(crows) if crows else field.zeros(0, total)
     out = []
     for vec in field.kernel_basis(c):
-        blocks = {v: vec[offset[v]:offset[v] + sizes[v]].reshape(m.dims[v], n.dims[v])
-                  for v in verts}
+        blocks = {v: vec[offset[v]:offset[v] + m.dims[v] * n.dims[v]]
+                  .reshape(m.dims[v], n.dims[v]) for v in verts}
         out.append(RepMap(m, n, blocks))
     return out
 
@@ -307,13 +328,20 @@ def sub_rep(m: Rep, rows: dict) -> tuple:
     basis = {}
     for v in m.dims:
         r = rows.get(v)
-        r = field.zeros(0, m.dims[v]) if r is None or len(r) == 0 else field.reduce(r)
-        basis[v] = field.row_space_basis(r)
+        if m.dims[v] == 0 or r is None or len(r) == 0:
+            basis[v] = field.zeros(0, m.dims[v])
+        else:
+            basis[v] = field.row_space_basis(r)
     dims = {v: basis[v].shape[0] for v in m.dims}
     maps = {}
     for a in alg.quiver.arrows:
-        moved = field.matmul(basis[a.source], m.maps[a.name])
-        x = field.solve_left(basis[a.target], moved)
+        s, t = a.source, a.target
+        if dims[s] == 0 or m.dims[t] == 0:
+            # nothing to move, or nowhere to move it: the solve must succeed
+            maps[a.name] = field.zeros(dims[s], dims[t])
+            continue
+        moved = field.matmul(basis[s], m.maps[a.name])
+        x = field.solve_left(basis[t], moved)
         if x is None:
             raise ValueError("rows do not span an arrow-stable subspace")
         maps[a.name] = x
@@ -329,18 +357,25 @@ def quotient_rep(m: Rep, rows: dict) -> tuple:
     proj = {}
     for v in m.dims:
         r = rows.get(v)
-        r = field.zeros(0, m.dims[v]) if r is None or len(r) == 0 else field.reduce(r)
+        if m.dims[v] == 0 or r is None or len(r) == 0:
+            proj[v] = field.identity(m.dims[v])
+            continue
         rr, piv = field.rref(r)
         y = field.identity(m.dims[v])
         for i, c in enumerate(piv):
             y[c] = (y[c] - rr[i]) % field.p
-        nonpiv = [j for j in range(m.dims[v]) if j not in set(piv)]
-        proj[v] = y[:, nonpiv].copy()
+        pivset = set(piv)
+        proj[v] = y[:, [j for j in range(m.dims[v]) if j not in pivset]]
     dims = {v: proj[v].shape[1] for v in m.dims}
     maps = {}
     for a in alg.quiver.arrows:
-        rhs = field.matmul(m.maps[a.name], proj[a.target])
-        x = field.solve_right(proj[a.source], rhs)
+        s, t = a.source, a.target
+        if m.dims[s] == 0 or dims[t] == 0:
+            # nothing to map, or an empty quotient: the solve must succeed
+            maps[a.name] = field.zeros(dims[s], dims[t])
+            continue
+        rhs = field.matmul(m.maps[a.name], proj[t])
+        x = field.solve_right(proj[s], rhs)
         if x is None:
             raise ValueError("rows do not span an arrow-stable subspace")
         maps[a.name] = x
@@ -374,9 +409,10 @@ def radical_rows(m: Rep) -> dict:
     field = m.algebra.field
     out = {}
     for v in m.dims:
-        blocks = [m.maps[a.name] for a in m.algebra.quiver.arrows if a.target == v]
+        blocks = [m.maps[a.name] for a in m.algebra.quiver.arrows
+                  if a.target == v and m.dims[a.source]]
         out[v] = (field.row_space_basis(np.vstack(blocks))
-                  if blocks else field.zeros(0, m.dims[v]))
+                  if blocks and m.dims[v] else field.zeros(0, m.dims[v]))
     return out
 
 
@@ -402,7 +438,8 @@ def socle_rows(m: Rep) -> dict:
 def kernel(f: RepMap) -> tuple:
     """(kernel, inclusion into f.src)."""
     field = f.src.algebra.field
-    rows = {v: field.left_kernel_basis(f.blocks[v]) for v in f.blocks}
+    rows = {v: field.left_kernel_basis(b) for v, b in f.blocks.items()
+            if b.shape[0]}
     return sub_rep(f.src, rows)
 
 
@@ -422,9 +459,11 @@ def top_generators(m: Rep) -> list:
     gens = []
     rad = radical_rows(m)
     for v in sorted(m.dims):
-        _, piv = field.rref(rad[v])
+        if m.dims[v] == 0:
+            continue
+        pivset = set(field.rref(rad[v])[1])
         for j in range(m.dims[v]):
-            if j not in set(piv):
+            if j not in pivset:
                 row = field.zeros(1, m.dims[v])[0]
                 row[j] = 1
                 gens.append((v, row))

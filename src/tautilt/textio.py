@@ -382,9 +382,20 @@ def module_expr_string(m: Rep) -> str:
     algebra = m.algebra
     if m.is_zero():
         return "0"
-    for name, maker in (("S", simple), ("P", projective), ("I", injective)):
-        for v in range(1, algebra.num_vertices + 1):
-            if _indec_iso(m, maker(algebra, v)):
+    verts = range(1, algebra.num_vertices + 1)
+    # dimension vectors of the candidates, read off the path basis: a
+    # candidate is built only when its vector matches m's
+    candidates = (
+        ("S", simple, lambda v: tuple(int(u == v) for u in verts)),
+        ("P", projective,
+         lambda v: tuple(len(algebra.slice_indices(v, u)) for u in verts)),
+        ("I", injective,
+         lambda v: tuple(len(algebra.slice_indices(u, v)) for u in verts)),
+    )
+    dv = m.dim_vector()
+    for name, maker, dim_vector in candidates:
+        for v in verts:
+            if dim_vector(v) == dv and _indec_iso(m, maker(algebra, v)):
                 return f"{name}({v})"
     t, _ = top(m)
     if t.total_dim == 1:

@@ -95,7 +95,9 @@ def _frobenius_data(algebra):
         key.append(k)
         sigma[i] = algebra.target_of(k)
     gram = algebra.mult_table[:, :, key].sum(axis=-1) % field.p
-    if not field.is_invertible(gram):
+    # one solve decides invertibility and gives the inverse
+    gram_inv = field.solve_right(gram, field.identity(algebra.dim))
+    if gram_inv is None:
         first = {}
         for i, v in sigma.items():
             if v in first:
@@ -104,7 +106,7 @@ def _frobenius_data(algebra):
             first[v] = i
         raise TheoremViolationError(
             "simple socles with distinct tops but a degenerate Frobenius form")
-    nu = field.matmul(gram.T, field.inverse(gram))
+    nu = field.matmul(gram.T, gram_inv)
     nu.flags.writeable = False
     return dict(sorted((v, i) for i, v in sigma.items())), nu
 

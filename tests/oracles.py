@@ -45,29 +45,32 @@ from tautilt.translate import nu_module, tau, tau_minus
 # -- self-contained linear algebra ----------------------------------------------
 
 
-def gauss_rank(rows: list, p: int) -> int:
-    """Row reduction written from scratch: no numpy vector tricks, no
-    shared code with the field layer."""
+def gauss_rref(rows: list, ncols: int, p: int) -> tuple:
+    """Reduced row echelon form written from scratch: no numpy vector
+    tricks, no shared code with the field layer.  rows is a list of
+    integer rows of length ncols, entries taken mod p.  Returns (rows of
+    the form as lists of ints, pivot columns of its nonzero rows)."""
     mat = [list(int(x) % p for x in row) for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
+    pivots = []
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] % p != 0:
-                pivot = r
-                break
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         inv = pow(mat[rank][col], p - 2, p)
         mat[rank] = [(x * inv) % p for x in mat[rank]]
         for r in range(len(mat)):
-            if r != rank and mat[r][col] % p != 0:
+            if r != rank and mat[r][col]:
                 c = mat[r][col]
                 mat[r] = [(x - c * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return mat, pivots
+
+
+def gauss_rank(rows: list, p: int) -> int:
+    """Rank by gauss_rref."""
+    return len(gauss_rref(rows, len(rows[0]) if rows else 0, p)[1])
 
 
 def largest_exact_prime(dim: int) -> int:

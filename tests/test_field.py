@@ -4,7 +4,7 @@ multiplying to the identity."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tautilt.field import DEFAULT_PRIME, PrimeField
 from tautilt.errors import FieldTooSmallError, PrimeTooLargeError
@@ -80,10 +80,47 @@ def test_inverse_roundtrip(n, data):
     a = np.array(rows, dtype=np.int64)
     if F.rank(a) < n:
         assert not F.is_invertible(a)
+        with pytest.raises(ValueError, match="singular"):
+            F.inverse(a)
         return
     inv = F.inverse(a)
     assert (F.matmul(a, inv) == F.identity(n)).all()
     assert (F.matmul(inv, a) == F.identity(n)).all()
+
+
+def test_inverse_rejects_non_square():
+    with pytest.raises(ValueError, match="non-square"):
+        F.inverse(np.ones((2, 3), dtype=np.int64))
+    assert not F.is_invertible(np.ones((3, 2), dtype=np.int64))
+
+
+@st.composite
+def prime_and_matrix(draw):
+    """A prime and a matrix of up to 5 x 5 whose entries lie outside
+    [0, p) as well as inside, negatives included."""
+    p = draw(st.sampled_from([2, 97, oracles.largest_exact_prime(2)]))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    flat = draw(st.lists(st.integers(-3 * p, 3 * p),
+                         min_size=rows * cols, max_size=rows * cols))
+    return p, np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+
+@given(prime_and_matrix())
+@example((2, np.zeros((0, 3), dtype=np.int64)))
+@example((97, np.zeros((4, 0), dtype=np.int64)))
+@example((97, np.array([[0, 0, -5, 195]], dtype=np.int64)))
+@example((97, np.zeros((1, 3), dtype=np.int64)))
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_the_loop_oracle(case):
+    # the fast paths (a zero side, one row) must give what the loop gives
+    p, a = case
+    before = a.copy()
+    r, pivots = PrimeField(p).rref(a)
+    want, want_pivots = oracles.gauss_rref(a.tolist(), a.shape[1], p)
+    assert r.shape == a.shape
+    assert r.tolist() == want
+    assert pivots == want_pivots
+    assert (a == before).all()
 
 
 def test_inv_scalar():

@@ -17,13 +17,17 @@ from tautilt.modules import (
     dual,
     ext1_dim,
     fac_contains,
+    hom_basis,
     hom_dim,
+    injective,
     is_indecomposable,
     projective,
+    quotient_rep,
     radical,
     simple,
     socle_rows,
     sub_rep,
+    submodule_generated,
     syzygy,
     top,
     zero_module,
@@ -196,6 +200,53 @@ def test_fac_membership(nak4, uniserials):
     for m in quots:
         assert fac_contains(p1, m)
     assert not fac_contains(p1, simple(nak4, 2))
+
+
+def _witness_modules(alg):
+    """Modules over the witness algebra (loop x: 2 -> 2): the standard
+    ones, their radicals, seeded cyclic submodules and quotients of sums
+    of projectives, and the zero module.  Many vanish at a vertex."""
+    rng = np.random.default_rng(3)
+    standard = [maker(alg, v) for maker in (simple, projective, injective)
+                for v in (1, 2)]
+    mods = standard + [radical(m)[0] for m in standard] + [zero_module(alg)]
+    for verts in ([1, 2], [2, 2], [1, 1, 2]):
+        total, _ = direct_sum(alg, [projective(alg, v) for v in verts])
+        for v in (1, 2, 2):
+            rows = submodule_generated(
+                total, [(v, rng.integers(0, alg.field.p, total.dims[v]))])
+            mods += [sub_rep(total, rows)[0], quotient_rep(total, rows)[0]]
+    return mods
+
+
+def test_hom_basis_on_the_common_support(witness, nak4, uniserials):
+    # against the entry-by-entry oracle, on a loop arrow and on modules
+    # that are zero at some vertices; every basis map commutes with every
+    # arrow
+    mods = _witness_modules(witness)
+    assert any(0 in m.dim_vector() and not m.is_zero() for m in mods)
+    pairs = [(m, n) for m in mods for n in mods]
+    pairs += [(m, n) for m in uniserials for n in uniserials]
+    for m, n in pairs:
+        basis = hom_basis(m, n)
+        assert len(basis) == oracles.brute_hom_dim(m, n)
+        field = m.algebra.field
+        for f in basis:
+            for a in m.algebra.quiver.arrows:
+                s, t = a.source, a.target
+                assert (field.matmul(f.blocks[s], n.maps[a.name])
+                        == field.matmul(m.maps[a.name], f.blocks[t])).all()
+        flat = np.array([f.flatten() for f in basis], dtype=np.int64)
+        assert field.rank(flat) == len(basis)
+
+
+def test_unstable_rows_are_rejected(a2):
+    # on a2, e_1 spans no submodule of P(1) = e_1 A: the arrow moves it out
+    p1 = projective(a2, 1)
+    assert p1.dim_vector() == (1, 1)
+    for make in (sub_rep, quotient_rep):
+        with pytest.raises(ValueError, match="arrow-stable"):
+            make(p1, {1: [[1]]})
 
 
 def test_zero_module_edge_cases(nak4):
