@@ -334,10 +334,7 @@ class BoundQuiverAlgebra:
     def left_table(self, a: np.ndarray) -> np.ndarray:
         """Left multiplication by the entries of a, of shape (..., dim):
         t[..., j, m] is the coefficient of basis word m in a[...] * word j."""
-        d = self.dim
-        a = self.field.reduce(a)
-        flat = self.field.matmul(a.reshape(-1, d), self.mult_table.reshape(d, d * d))
-        return flat.reshape(a.shape[:-1] + (d, d))
+        return self._table(a, self.mult_table.reshape(self.dim, -1))
 
     def right_table(self, b: np.ndarray) -> np.ndarray:
         """Right multiplication by the entries of b, of shape (..., dim):
@@ -346,9 +343,17 @@ class BoundQuiverAlgebra:
         if "mult_table_ji" not in self._cache:
             self._cache["mult_table_ji"] = np.ascontiguousarray(
                 self.mult_table.transpose(1, 0, 2)).reshape(d, d * d)
-        b = self.field.reduce(b)
-        flat = self.field.matmul(b.reshape(-1, d), self._cache["mult_table_ji"])
-        return flat.reshape(b.shape[:-1] + (d, d))
+        return self._table(b, self._cache["mult_table_ji"])
+
+    def _table(self, a: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """The entries of a contracted with the rows of table, over the
+        basis words that occur in some entry only."""
+        d = self.dim
+        a = self.field.reduce(a)
+        flat = a.reshape(-1, d)
+        used = np.flatnonzero(flat.any(axis=0))
+        out = self.field.matmul(flat[:, used], table[used])
+        return out.reshape(a.shape[:-1] + (d, d))
 
     def element_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of matrices with algebra-element entries.
@@ -356,10 +361,29 @@ class BoundQuiverAlgebra:
         a has shape (r, k, dim), b has shape (k, c, dim); the result is
         (r, c, dim) with entries sum_k a[i,k] * b[k,j].
         """
-        (r, k, d), c = a.shape, b.shape[1]
+        return self.operator_matmul(self.left_operator(a), b)
+
+    def left_operator(self, a: np.ndarray) -> tuple:
+        """Left multiplication by the element matrix a of shape (r, k, dim),
+        as (r, rows, cols, values): left_table(a) laid out as a matrix from
+        (k, dim) to (r, dim) coordinates, cut down to its nonzero rows and
+        columns.  Entries of a lie in a few slices e_i A e_j, so the cut
+        matrix is much smaller than the table and is what a caller keeps
+        to multiply by a again."""
+        r, k, d = a.shape
         left = self.left_table(a).transpose(0, 3, 1, 2).reshape(r * d, k * d)
+        rows = np.flatnonzero(left.any(axis=1))
+        cols = np.flatnonzero(left.any(axis=0))
+        return r, rows, cols, left[np.ix_(rows, cols)]
+
+    def operator_matmul(self, op: tuple, b: np.ndarray) -> np.ndarray:
+        """element_matmul(a, b) from op = left_operator(a)."""
+        r, rows, cols, values = op
+        k, c, d = b.shape
         right = self.field.reduce(b).transpose(0, 2, 1).reshape(k * d, c)
-        return self.field.matmul(left, right).reshape(r, d, c).transpose(0, 2, 1)
+        out = np.zeros((r * d, c), dtype=np.int64)
+        out[rows] = self.field.matmul(values, right[cols])
+        return out.reshape(r, d, c).transpose(0, 2, 1)
 
     def right_mult_matrix(self, x: np.ndarray, rows, cols) -> np.ndarray:
         """Matrix of (basis word b -> b * x) from span(rows) to span(cols)."""

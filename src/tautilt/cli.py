@@ -256,7 +256,11 @@ def _add_common(sub, enumerating: bool):
                      help="override the coefficient prime")
     if enumerating:
         sub.add_argument("--cap", type=int, default=10000,
-                         help="stop after this many items")
+                         help="node bound, checked at the start of each "
+                              "breadth-first level: the walk stops, "
+                              "TRUNCATED, at the first level that starts "
+                              "with more nodes than this, and prints all "
+                              "nodes found so far")
         sub.add_argument("--seed", type=int, default=0,
                          help="accepted for compatibility; the walk draws no "
                               "random numbers, so it has no effect on the "

@@ -6,8 +6,11 @@ component from the c-th degree -1 summand to the r-th degree 0 summand, so
 composition of maps is the ordinary matrix product over the algebra.
 
 Hom spaces in the homotopy category are computed degreewise on element
-matrices; each composition operator is read off the multiplication table
-by one vectorised product and one gather.  A single unit-elimination
+matrices.  Each complex keeps the multiplication tables of its
+differential, built on first use, and each algebra keeps the coordinate
+spaces of element matrices per pair of vertex tuples, so a composition
+operator is one gather from a kept table and a Hom dimension is gathers
+plus one elimination.  A single unit-elimination
 routine, eliminate_units, strips contractible summands both from two-term
 complexes and from the three-term cones that mutation builds.
 
@@ -25,6 +28,8 @@ that may decompose are compared summand class by summand class
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +55,8 @@ class TwoTermComplex:
     """A complex of projectives in degrees -1 and 0.
 
     deg1 and deg0 are the summand vertex tuples in degrees -1 and 0; d is
-    the differential element matrix of shape (len(deg0), len(deg1), dim).
+    the differential element matrix of shape (len(deg0), len(deg1), dim),
+    read-only, so the tables built from it stay valid.
     """
 
     def __init__(self, algebra, deg1, deg0, d, check: bool = True):
@@ -61,6 +67,7 @@ class TwoTermComplex:
             (len(self.deg0), len(self.deg1), algebra.dim), dtype=np.int64)
         if d.shape != (len(self.deg0), len(self.deg1), algebra.dim):
             raise ValueError(f"differential shape {d.shape} is wrong")
+        d.flags.writeable = False
         self.d = d
         if check:
             bad = np.argwhere(d.astype(bool)
@@ -75,6 +82,20 @@ class TwoTermComplex:
 
     def is_zero(self) -> bool:
         return not self.deg1 and not self.deg0
+
+    @cached_property
+    def left_table(self) -> np.ndarray:
+        """algebra.left_table(d), built once and kept read-only."""
+        t = self.algebra.left_table(self.d)
+        t.flags.writeable = False
+        return t
+
+    @cached_property
+    def right_table(self) -> np.ndarray:
+        """algebra.right_table(d), built once and kept read-only."""
+        t = self.algebra.right_table(self.d)
+        t.flags.writeable = False
+        return t
 
     def expand(self) -> RepMap:
         """The differential as a map of actual projective modules."""
@@ -121,12 +142,15 @@ class _Space:
     """Coordinates of element matrices of shape (len(tverts), len(sverts),
     dim) whose entry (r, c) lies in e_{tverts[r]} A e_{sverts[c]}: the n-th
     coordinate is basis word basis[n] of entry (rows[n], cols[n]), in
-    row-major order."""
+    row-major order.  Built through _space, once per algebra and pair of
+    vertex tuples."""
 
     def __init__(self, algebra, tverts, sverts):
         self.shape = (len(tverts), len(sverts), algebra.dim)
         self.rows, self.cols, self.basis = np.nonzero(
             algebra.slice_mask(tverts, sverts))
+        for a in (self.rows, self.cols, self.basis):
+            a.flags.writeable = False
         self.total = len(self.basis)
 
     def flatten(self, e) -> np.ndarray:
@@ -138,18 +162,27 @@ class _Space:
         return e
 
 
-def _left_op(algebra, a, xsp: _Space, osp: _Space) -> np.ndarray:
+def _space(algebra, tverts, sverts) -> _Space:
+    """The _Space of (tverts, sverts), kept in algebra._cache."""
+    cache = algebra._cache.setdefault("spaces", {})
+    key = (tuple(tverts), tuple(sverts))
+    if key not in cache:
+        cache[key] = _Space(algebra, tverts, sverts)
+    return cache[key]
+
+
+def _left_op(t, xsp: _Space, osp: _Space) -> np.ndarray:
     """Matrix of X -> a . X from xsp to osp coordinates, one row per input
-    coordinate."""
-    t = algebra.left_table(a)  # t[r, k, j, m]: word m in a[r, k] * word j
+    coordinate, where t = left_table(a): t[r, k, j, m] is the coefficient
+    of word m in a[r, k] * word j."""
     same_col = xsp.cols[:, None] == osp.cols
     return t[osp.rows, xsp.rows[:, None], xsp.basis[:, None], osp.basis] * same_col
 
 
-def _right_op(algebra, b, xsp: _Space, osp: _Space) -> np.ndarray:
+def _right_op(t, xsp: _Space, osp: _Space) -> np.ndarray:
     """Matrix of X -> X . b from xsp to osp coordinates, one row per input
-    coordinate."""
-    t = algebra.right_table(b)  # t[k, c, i, m]: word m in word i * b[k, c]
+    coordinate, where t = right_table(b): t[k, c, i, m] is the coefficient
+    of word m in word i * b[k, c]."""
     same_row = xsp.rows[:, None] == osp.rows
     return t[xsp.cols[:, None], osp.cols, xsp.basis[:, None], osp.basis] * same_row
 
@@ -159,14 +192,15 @@ def _chain_map_data(p: TwoTermComplex, q: TwoTermComplex):
     rows in the joint (F1, F0) coordinate space."""
     alg = p.algebra
     field = alg.field
-    f1 = _Space(alg, q.deg1, p.deg1)
-    f0 = _Space(alg, q.deg0, p.deg0)
-    out = _Space(alg, q.deg0, p.deg1)
-    hsp = _Space(alg, q.deg1, p.deg0)
-    cons = np.vstack([_left_op(alg, q.d, f1, out),
-                      (-_right_op(alg, p.d, f0, out)) % field.p])
+    f1 = _space(alg, q.deg1, p.deg1)
+    f0 = _space(alg, q.deg0, p.deg0)
+    out = _space(alg, q.deg0, p.deg1)
+    hsp = _space(alg, q.deg1, p.deg0)
+    cons = np.vstack([_left_op(q.left_table, f1, out),
+                      (-_right_op(p.right_table, f0, out)) % field.p])
     maps = field.left_kernel_basis(cons)
-    himg = np.hstack([_right_op(alg, p.d, hsp, f1), _left_op(alg, q.d, hsp, f0)])
+    himg = np.hstack([_right_op(p.right_table, hsp, f1),
+                      _left_op(q.left_table, hsp, f0)])
     return f1, f0, maps, himg
 
 
@@ -180,16 +214,16 @@ def hom_dim(p: TwoTermComplex, q: TwoTermComplex, shift: int = 0) -> int:
         _, _, maps, himg = _chain_map_data(p, q)
         return len(maps) - field.rank(himg)
     if shift == 1:
-        fsp = _Space(alg, q.deg0, p.deg1)
+        fsp = _space(alg, q.deg0, p.deg1)
         img = np.vstack([
-            _right_op(alg, p.d, _Space(alg, q.deg0, p.deg0), fsp),
-            _left_op(alg, q.d, _Space(alg, q.deg1, p.deg1), fsp),
+            _right_op(p.right_table, _space(alg, q.deg0, p.deg0), fsp),
+            _left_op(q.left_table, _space(alg, q.deg1, p.deg1), fsp),
         ])
         return fsp.total - field.rank(img)
-    gsp = _Space(alg, q.deg1, p.deg0)
+    gsp = _space(alg, q.deg1, p.deg0)
     cons = np.hstack([
-        _right_op(alg, p.d, gsp, _Space(alg, q.deg1, p.deg1)),
-        _left_op(alg, q.d, gsp, _Space(alg, q.deg0, p.deg0)),
+        _right_op(p.right_table, gsp, _space(alg, q.deg1, p.deg1)),
+        _left_op(q.left_table, gsp, _space(alg, q.deg0, p.deg0)),
     ])
     return gsp.total - field.rank(cons)
 

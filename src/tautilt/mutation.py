@@ -34,7 +34,11 @@ the AND of the masks of the rest of the node.  Only when none is
 registered yet is the mutation computed, and its result is new, so the
 walk mutates once per indecomposable beyond the stalks it starts from.
 The Hom spaces and radical maps that the approximations read are kept
-once per ordered pair of registry items.
+once per ordered pair of registry items, each map with its left
+multiplication operator, so every composite in an approximation is one
+product by a kept operator; each complex keeps the multiplication tables
+of its own differential (complexes.TwoTermComplex).  Whether a node is tilting is
+read from per-item bitmasks of the j with Hom(i, j[-1]) = 0.
 """
 
 from __future__ import annotations
@@ -92,13 +96,16 @@ def _frozen(maps) -> tuple:
 
 class _PairMaps:
     """chain_maps_mod_homotopy(p, q) and the radical maps p -> q, computed
-    once per ordered pair of complex objects and kept read-only.  The walk
-    keeps one for its registry items; each mutate_summand call without it
-    makes its own."""
+    once per ordered pair of complex objects and kept read-only, each with
+    the left multiplication operators of its maps
+    (algebra.left_operator), built the first time they are composed.  The
+    walk keeps one for its registry items; each mutate_summand call
+    without it makes its own."""
 
     def __init__(self):
         self._homs: dict = {}
         self._radical: dict = {}
+        self._operators: dict = {}
 
     def homs(self, p: TwoTermComplex, q: TwoTermComplex) -> tuple:
         if (p, q) not in self._homs:
@@ -111,14 +118,32 @@ class _PairMaps:
                 _radical_maps(q, self.homs(q, r), q is r))
         return self._radical[q, r]
 
+    def hom_operators(self, p: TwoTermComplex, q: TwoTermComplex) -> tuple:
+        """The left operators (of f1, of f0) of each map in homs(p, q)."""
+        return self._left_operators("homs", p, q, self.homs)
+
+    def radical_operators(self, q: TwoTermComplex,
+                          r: TwoTermComplex) -> tuple:
+        """The left operators (of g1, of g0) of each map in radical(q, r)."""
+        return self._left_operators("radical", q, r, self.radical)
+
+    def _left_operators(self, kind: str, p, q, maps) -> tuple:
+        key = (kind, p, q)
+        if key not in self._operators:
+            left = p.algebra.left_operator
+            self._operators[key] = tuple(
+                (left(f1), left(f0)) for f1, f0 in maps(p, q))
+        return self._operators[key]
+
 
 def _approximation(x: TwoTermComplex, q_reps: list, left: bool,
                    maps: _PairMaps) -> list:
     """The minimal left (or right) add(Q)-approximation of x as a list of
     (q, f1, f0), one per copy of a summand q of Q.  The maps x -> q (or
     q -> x) to each q form a basis of Hom_K modulo the maps that factor
-    through a radical map inside add(Q), so no copy is redundant."""
-    mul = x.algebra.element_matmul
+    through a radical map inside add(Q), so no copy is redundant.  Each
+    composite is one product by the kept operator of its left factor."""
+    mul = x.algebra.operator_matmul
     ends = (lambda q: (x, q)) if left else (lambda q: (q, x))
     homs = [maps.homs(*ends(q)) for q in q_reps]
     copies = []
@@ -130,13 +155,13 @@ def _approximation(x: TwoTermComplex, q_reps: list, left: bool,
             if not homs[j]:
                 continue
             if left:  # x -> qj -> qi
-                factored += [(mul(g1, f1), mul(g0, f0))
-                             for g1, g0 in maps.radical(qj, qi)
+                factored += [(mul(t1, f1), mul(t0, f0))
+                             for t1, t0 in maps.radical_operators(qj, qi)
                              for f1, f0 in homs[j]]
             else:  # qi -> qj -> x
-                factored += [(mul(f1, g1), mul(f0, g0))
+                factored += [(mul(t1, g1), mul(t0, g0))
                              for g1, g0 in maps.radical(qi, qj)
-                             for f1, f0 in homs[j]]
+                             for t1, t0 in maps.hom_operators(qj, x)]
         # with nothing factored, the basis modulo homotopy is homs[i] itself
         kept = (chain_maps_mod_homotopy(*ends(qi), factored) if factored
                 else homs[i])
@@ -291,6 +316,42 @@ class ComplexRegistry:
         return len(self.items)
 
 
+class ItemMasks:
+    """A fact about ordered pairs of registry items, kept per item i as two
+    bitmasks over item ids: the j for which fact(i, j) is known, and the j
+    for which it holds.  Facts are computed on first need, so a set of
+    items is checked with one AND per item once its pairs are known."""
+
+    def __init__(self, fact):
+        self._fact = fact
+        self._known: dict = {}
+        self._holds: dict = {}
+
+    def all_hold(self, ids) -> bool:
+        """Whether fact(i, j) for all i and j in ids.  Unknown pairs are
+        computed row by row in the order of ids, stopping at the first
+        pair where the fact fails."""
+        mask = 0
+        for j in ids:
+            mask |= 1 << j
+        for i in ids:
+            known = self._known.get(i, 0)
+            holds = self._holds.get(i, 0)
+            if mask & ~known:
+                for j in ids:
+                    bit = 1 << j
+                    if not known & bit:
+                        known |= bit
+                        if self._fact(i, j):
+                            holds |= bit
+                    if not holds & bit:
+                        break
+                self._known[i], self._holds[i] = known, holds
+            if mask & ~holds:
+                return False
+        return True
+
+
 class EnumerationResult:
     """Mutation graph of basic two-term silting complexes.
 
@@ -298,8 +359,9 @@ class EnumerationResult:
     maps a summand id to the neighbouring node; status is COMPLETE when the
     graph was exhausted and TRUNCATED when the node cap stopped the walk.
     Facts about registry items are kept per item or per pair of items:
-    Hom(-, -[shift]) dimensions, Nakayama images, compatibility masks, and
-    the chain maps that mutation reads.
+    Hom(-, -[shift]) dimensions, Nakayama images, compatibility masks, the
+    masks of vanishing Hom(i, j[-1]) that decide tilting, and the chain
+    maps that mutation reads with their multiplication operators.
     """
 
     def __init__(self, algebra, registry, nodes, edges, status):
@@ -312,6 +374,8 @@ class EnumerationResult:
         self._nu_cache: dict = {}
         self._masks: dict = {}
         self._maps = _PairMaps()
+        self._no_negative = ItemMasks(
+            lambda i, j: self.hom_shift(i, j, -1) == 0)
 
     def node_complex(self, node) -> TwoTermComplex:
         return sum_complexes([self.registry.items[i] for i in sorted(node)])
@@ -344,7 +408,8 @@ class EnumerationResult:
         return mask
 
     def is_node_tilting(self, node) -> bool:
-        return all(self.hom_shift(i, j, -1) == 0 for i in node for j in node)
+        """Whether Hom(i, j[-1]) = 0 for all items i and j of the node."""
+        return self._no_negative.all_hold(node)
 
     def nu_id(self, i: int) -> int:
         if i not in self._nu_cache:

@@ -17,7 +17,11 @@ when its Hom(X_i, tau X_j) table vanishes, and stable when the Nakayama
 functor permutes its classes.  The enumerations share one table across
 all nodes: each registry item's cokernel (its "top", kept in
 PairEnumeration.tops) is one module object, checked once to be
-indecomposable and not isomorphic to another top.
+indecomposable and not isomorphic to another top.  A node's predicates
+are then bitmask tests over registry ids: tau-rigidity is an AND of
+per-top masks of vanishing Hom(top_i, tau top_j), and stability asks
+whether the Nakayama functor, matched once per top to another top,
+permutes the node's tops.
 
 Several results carry a second, independently computed route, and any
 disagreement between routes raises TheoremViolationError: stability under
@@ -62,7 +66,7 @@ from .modules import (
     syzygy,
     zero_module,
 )
-from .mutation import EnumerationResult, enumerate_two_term_silting
+from .mutation import EnumerationResult, ItemMasks, enumerate_two_term_silting
 from .translate import (
     _nu_module_of,
     _transpose_of,
@@ -367,7 +371,9 @@ class PairEnumeration:
     aligned index-for-index with the silting nodes that produced them.
     tops[i] is the cokernel of registry item i, None for a shifted stalk;
     the pairs share these module objects, and tables holds what the
-    predicates learned about them."""
+    predicates learned about them.  The node predicates read facts kept
+    per top: the vertices it is nonzero at, a bitmask of the tops j with
+    Hom(top_i, tau top_j) = 0, and the top its Nakayama image is."""
 
     algebra: object
     pairs: list
@@ -376,6 +382,59 @@ class PairEnumeration:
     node_index: dict = field(default_factory=dict)
     tops: list = field(default_factory=list)
     tables: SummandTables = field(default_factory=SummandTables)
+
+    def __post_init__(self):
+        self._support = [0 if m is None else
+                         sum(1 << v for v, k in m.dims.items() if k)
+                         for m in self.tops]
+        self._by_dims: dict = {}
+        for j, m in enumerate(self.tops):
+            if m is not None:
+                self._by_dims.setdefault(m.dim_vector(), []).append(j)
+        self._rigid = ItemMasks(lambda i, j: self.tables.hom_vanishes(
+            [self.tops[i]], [self.tables.image(tau, self.tops[j])]))
+        self._nu_tops: dict = {}
+
+    def is_node_support_tau_tilting(self, node) -> bool:
+        """is_support_tau_tilting_pair for the pair of a set of registry
+        ids: its shifted stalks name the complement vertices, where none of
+        its tops may be nonzero, and Hom(top_i, tau top_j) = 0 for all of
+        its tops i and j, read from the per-top masks."""
+        items = self.silting.registry.items
+        mods = [i for i in node if self.tops[i] is not None]
+        complement = 0
+        for i in node:
+            if self.tops[i] is None:
+                complement |= 1 << items[i].deg1[0]
+        if any(self._support[i] & complement for i in mods):
+            return False
+        if len(node) != self.algebra.num_vertices:
+            return False
+        return self._rigid.all_hold(mods)
+
+    def nu_top(self, i: int) -> int | None:
+        """The registry id whose top is isomorphic to the Nakayama image of
+        tops[i], or None when no registered top is.  Matched once per top,
+        by dimension vector and then tables.iso."""
+        if i not in self._nu_tops:
+            y = self.tables.image(nu_module, self.tops[i])
+            self._nu_tops[i] = next(
+                (j for j in self._by_dims.get(y.dim_vector(), ())
+                 if self.tables.iso(y, self.tops[j])), None)
+        return self._nu_tops[i]
+
+    def is_node_nu_stable(self, node) -> bool:
+        """is_nu_stable_pair for the pair of a set of registry ids without
+        its closure assertion: whether nu_top permutes the node's tops."""
+        tops = images = 0
+        for i in node:
+            if self.tops[i] is not None:
+                j = self.nu_top(i)
+                if j is None:
+                    return False
+                tops |= 1 << i
+                images |= 1 << j
+        return tops == images
 
 
 def enumerate_support_tau_tilting(algebra, cap: int = 10000, seed: int = 0,
@@ -390,30 +449,40 @@ def enumerate_support_tau_tilting(algebra, cap: int = 10000, seed: int = 0,
             for k, m in enumerate(modules)):
         raise TheoremViolationError(
             "a silting summand has a decomposable or repeated top")
-    pairs = []
-    node_index = {}
+    out = PairEnumeration(algebra, [], enum.status, enum, {}, tops, tables)
     for k, node in enumerate(enum.nodes):
         pair = make_pair(
             algebra, [tops[i] for i in sorted(node) if tops[i] is not None],
             [items[i].deg1[0] for i in node if tops[i] is None])
-        if not is_support_tau_tilting_pair(pair, tables=tables):
+        if not out.is_node_support_tau_tilting(node):
             raise TheoremViolationError(
                 "a silting node transported to a non-tau-tilting pair"
             )
-        node_index[node] = k
-        pairs.append(pair)
-    return PairEnumeration(algebra, pairs, enum.status, enum, node_index,
-                           tops, tables)
+        out.node_index[node] = k
+        out.pairs.append(pair)
+    return out
 
 
 def enumerate_nu_stable(algebra, cap: int = 10000, seed: int = 0,
                         rng=None) -> PairEnumeration:
     """Stable pairs by two independent routes: filtering the pair
-    enumeration by stability, and filtering the silting enumeration by the
-    tilting criterion.  The index sets must agree."""
+    enumeration by stability (the Nakayama functor permutes the node's
+    tops), and filtering the silting enumeration by the tilting criterion.
+    The index sets must agree, and the complement vertices of a stable
+    pair must be closed under the Nakayama permutation."""
     base = enumerate_support_tau_tilting(algebra, cap, seed, rng)
-    by_stability = [k for k, pair in enumerate(base.pairs)
-                    if is_nu_stable_pair(pair, tables=base.tables)]
+    perm = nakayama_permutation(algebra)
+    by_stability = []
+    for k, node in enumerate(base.silting.nodes):
+        if not base.is_node_nu_stable(node):
+            continue
+        pverts = base.pairs[k].pverts
+        if sorted(perm[v] for v in pverts) != sorted(pverts):
+            raise TheoremViolationError(
+                "stable module part with complement vertices not closed "
+                "under the Nakayama permutation"
+            )
+        by_stability.append(k)
     by_tilting = [k for k, node in enumerate(base.silting.nodes)
                   if base.silting.is_node_tilting(node)]
     if by_stability != by_tilting:

@@ -4,10 +4,12 @@ Everything here deliberately avoids the code path it checks: hom
 dimensions come from a loop-assembled linear system with its own row
 reduction, translates come from the syzygy route, the preprojective
 indecomposable list comes from translate-closure of a seed rather than
-from any enumeration walk, mutation goes through the universal
-approximation and decomposition rather than the minimal approximation,
-and complexes are decomposed and compared as modules over the triangular
-matrix algebra rather than by idempotents of their chain-map rings.
+from any enumeration walk, complex homs build every operator from the
+full multiplication table on each call rather than reading kept tables,
+mutation goes through the universal approximation and decomposition
+rather than the minimal approximation, and complexes are decomposed and
+compared as modules over the triangular matrix algebra rather than by
+idempotents of their chain-map rings.
 """
 
 from __future__ import annotations
@@ -213,6 +215,122 @@ def brute_complex_hom_dim(p, q, shift: int = 0) -> int:
     homotopies = images(q.deg1, p.deg0, [(right(p.d), space(q.deg1, p.deg1)),
                                          (left(q.d), space(q.deg0, p.deg0))])
     return chain_maps - gauss_rank(homotopies, prime)
+
+
+# -- the per-call route for complex homs ----------------------------------------
+#
+# The package keeps the multiplication tables of each differential on its
+# complex and the coordinate spaces on the algebra.  This is the route it
+# replaced, kept as it was: every operator is built from the full
+# multiplication table on every call.
+
+
+def percall_left_table(alg, a):
+    """t[..., j, m]: the coefficient of basis word m in a[...] * word j."""
+    d = alg.dim
+    a = alg.field.reduce(a)
+    flat = alg.field.matmul(a.reshape(-1, d), alg.mult_table.reshape(d, d * d))
+    return flat.reshape(a.shape[:-1] + (d, d))
+
+
+def percall_right_table(alg, b):
+    """t[..., i, m]: the coefficient of basis word m in word i * b[...]."""
+    d = alg.dim
+    table = np.ascontiguousarray(alg.mult_table.transpose(1, 0, 2)).reshape(
+        d, d * d)
+    b = alg.field.reduce(b)
+    flat = alg.field.matmul(b.reshape(-1, d), table)
+    return flat.reshape(b.shape[:-1] + (d, d))
+
+
+class PercallSpace:
+    def __init__(self, algebra, tverts, sverts):
+        self.shape = (len(tverts), len(sverts), algebra.dim)
+        self.rows, self.cols, self.basis = np.nonzero(
+            algebra.slice_mask(tverts, sverts))
+        self.total = len(self.basis)
+
+    def flatten(self, e) -> np.ndarray:
+        return e[self.rows, self.cols, self.basis]
+
+    def unflatten(self, vec) -> np.ndarray:
+        e = np.zeros(self.shape, dtype=np.int64)
+        e[self.rows, self.cols, self.basis] = vec
+        return e
+
+
+def _percall_left_op(algebra, a, xsp, osp) -> np.ndarray:
+    t = percall_left_table(algebra, a)
+    same_col = xsp.cols[:, None] == osp.cols
+    return t[osp.rows, xsp.rows[:, None], xsp.basis[:, None], osp.basis] * same_col
+
+
+def _percall_right_op(algebra, b, xsp, osp) -> np.ndarray:
+    t = percall_right_table(algebra, b)
+    same_row = xsp.rows[:, None] == osp.rows
+    return t[xsp.cols[:, None], osp.cols, xsp.basis[:, None], osp.basis] * same_row
+
+
+def _percall_chain_map_data(p, q):
+    alg = p.algebra
+    field = alg.field
+    f1 = PercallSpace(alg, q.deg1, p.deg1)
+    f0 = PercallSpace(alg, q.deg0, p.deg0)
+    out = PercallSpace(alg, q.deg0, p.deg1)
+    hsp = PercallSpace(alg, q.deg1, p.deg0)
+    cons = np.vstack([_percall_left_op(alg, q.d, f1, out),
+                      (-_percall_right_op(alg, p.d, f0, out)) % field.p])
+    maps = field.left_kernel_basis(cons)
+    himg = np.hstack([_percall_right_op(alg, p.d, hsp, f1),
+                      _percall_left_op(alg, q.d, hsp, f0)])
+    return f1, f0, maps, himg
+
+
+def percall_hom_dim(p, q, shift: int = 0) -> int:
+    """Dimension of Hom(p, q[shift]) in the homotopy category, with every
+    operator built on this call."""
+    alg = p.algebra
+    field = alg.field
+    if abs(shift) >= 2:
+        return 0
+    if shift == 0:
+        _, _, maps, himg = _percall_chain_map_data(p, q)
+        return len(maps) - field.rank(himg)
+    if shift == 1:
+        fsp = PercallSpace(alg, q.deg0, p.deg1)
+        img = np.vstack([
+            _percall_right_op(alg, p.d, PercallSpace(alg, q.deg0, p.deg0), fsp),
+            _percall_left_op(alg, q.d, PercallSpace(alg, q.deg1, p.deg1), fsp),
+        ])
+        return fsp.total - field.rank(img)
+    gsp = PercallSpace(alg, q.deg1, p.deg0)
+    cons = np.hstack([
+        _percall_right_op(alg, p.d, gsp, PercallSpace(alg, q.deg1, p.deg1)),
+        _percall_left_op(alg, q.d, gsp, PercallSpace(alg, q.deg0, p.deg0)),
+    ])
+    return gsp.total - field.rank(cons)
+
+
+def percall_chain_maps_mod_homotopy(p, q, modulo=()) -> list:
+    """complexes.chain_maps_mod_homotopy with every operator built on this
+    call."""
+    field = p.algebra.field
+    f1, f0, maps, himg = _percall_chain_map_data(p, q)
+    fixed = np.vstack([himg] + [
+        np.concatenate([f1.flatten(g1), f0.flatten(g0)])[None]
+        for g1, g0 in modulo])
+    _, pivots = field.rref(np.vstack([fixed, maps]).T)
+    picked = [maps[c - len(fixed)] for c in pivots if c >= len(fixed)]
+    return [(f1.unflatten(vec[:f1.total]), f0.unflatten(vec[f1.total:]))
+            for vec in picked]
+
+
+def percall_element_matmul(alg, a, b) -> np.ndarray:
+    """Product of element matrices through a table built on this call."""
+    (r, k, d), c = a.shape, b.shape[1]
+    left = percall_left_table(alg, a).transpose(0, 3, 1, 2).reshape(r * d, k * d)
+    right = alg.field.reduce(b).transpose(0, 2, 1).reshape(k * d, c)
+    return alg.field.matmul(left, right).reshape(r, d, c).transpose(0, 2, 1)
 
 
 # -- the triangular route for complexes ------------------------------------------

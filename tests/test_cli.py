@@ -145,6 +145,25 @@ def test_enumerate_truncation_exit_code(capsys, data_dir):
     assert json.loads(out)["flag"] == "TRUNCATED"
 
 
+def test_cap_counts_nodes_once_per_level(capsys, data_dir):
+    """--cap bounds the node count, checked at the start of each
+    breadth-first level: a truncated walk prints every node it found, at
+    least the cap (28 for nakayama6 at cap 10), and a cap at or above the
+    full count completes."""
+    alg = str(data_dir / "nakayama6.alg")
+    code, out, _ = run(capsys, "enumerate", alg, "--cap", "10")
+    doc = json.loads(out)
+    assert code == 3 and doc["flag"] == "TRUNCATED"
+    assert len(doc["entries"]) >= 10
+    code, out, _ = run(capsys, "enumerate", alg)
+    full = len(json.loads(out)["entries"])
+    assert code == 0 and full > 10
+    code, out, _ = run(capsys, "enumerate", alg, "--cap", str(full))
+    doc = json.loads(out)
+    assert code == 0 and doc["flag"] == "COMPLETE"
+    assert len(doc["entries"]) == full
+
+
 def test_enumerate_nu_stable_rejected_off_selfinjective(capsys, data_dir):
     code, _, err = run(capsys, "enumerate", str(data_dir / "a2.alg"),
                        "--filter", "nu-stable")

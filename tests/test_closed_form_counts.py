@@ -47,6 +47,20 @@ def test_preprojective_a5_nu_stable_count(algebras):
     assert len(stable.pairs) == 2**3 * math.factorial(3)
 
 
+def test_preprojective_a6_nu_stable_count(algebras):
+    """5040 = 7! nodes and 126 = 2^7 - 2 indecomposables, of which 48
+    nodes are stable.  By the argument for A_5 above, the stable nodes are
+    the w commuting with w0 in W = S_7; there w0 is the product of three
+    disjoint transpositions and a fixed point, with centraliser
+    2^3 * 3! * 1! = 48."""
+    stable = enumerate_nu_stable(
+        parse_algebra_text(algebras.preprojective(6)))
+    assert stable.status == "COMPLETE"
+    assert len(stable.silting.nodes) == math.factorial(7)
+    assert len(stable.silting.registry) == 2**7 - 2
+    assert len(stable.pairs) == 2**3 * math.factorial(3) * math.factorial(1)
+
+
 def test_preprojective_d4_every_node_is_stable():
     """192 = |W(D4)| nodes, all of them stable.  By the argument for A_5
     above, the stable nodes are the w commuting with w0; in W(D4),
