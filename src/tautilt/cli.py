@@ -180,7 +180,7 @@ def _enumeration_entries(algebra, args):
     """(status, list of (pair, complex)) for the requested filter."""
     selfinj = is_selfinjective(algebra)
     if args.filter == "nu-stable":
-        pe = enumerate_nu_stable(algebra, args.cap, args.seed)
+        pe = enumerate_nu_stable(algebra, args.cap)
         withnodes = sorted(pe.node_index.items(), key=lambda kv: kv[1])
         rows = [(pe.pairs[idx], pe.silting.node_complex(node), True, node)
                 for node, idx in withnodes]
@@ -260,7 +260,10 @@ def _add_common(sub, enumerating: bool):
                               "breadth-first level: the walk stops, "
                               "TRUNCATED, at the first level that starts "
                               "with more nodes than this, and prints all "
-                              "nodes found so far")
+                              "nodes found so far that pass the filter; "
+                              "for nu-stable it bounds the nodes the walk "
+                              "over stable nodes visits, checked before "
+                              "each reduced walk and at each of its levels")
         sub.add_argument("--seed", type=int, default=0,
                          help="accepted for compatibility; the walk draws no "
                               "random numbers, so it has no effect on the "

@@ -39,6 +39,11 @@ multiplication operator, so every composite in an approximation is one
 product by a kept operator; each complex keeps the multiplication tables
 of its own differential (complexes.TwoTermComplex).  Whether a node is tilting is
 read from per-item bitmasks of the j with Hom(i, j[-1]) = 0.
+
+Over a selfinjective algebra the stable (tilting) nodes are reached
+without the whole graph: walk_nu_stable walks, from each stable node and
+each orbit of the Nakayama functor on its items, only the nodes that keep
+the rest of the node, on the same registry and tables.
 """
 
 from __future__ import annotations
@@ -355,9 +360,11 @@ class ItemMasks:
 class EnumerationResult:
     """Mutation graph of basic two-term silting complexes.
 
-    nodes are frozensets of registry ids in discovery order; edges[node]
-    maps a summand id to the neighbouring node; status is COMPLETE when the
-    graph was exhausted and TRUNCATED when the node cap stopped the walk.
+    nodes are frozensets of registry ids in discovery order: every node
+    for the whole walk, the nodes visited for walk_nu_stable; edges[node]
+    maps a summand id to the neighbouring node, for the summands the walk
+    mutated at; status is COMPLETE when the walk was exhausted and
+    TRUNCATED when the node cap stopped it.
     Facts about registry items are kept per item or per pair of items:
     Hom(-, -[shift]) dimensions, Nakayama images, compatibility masks, the
     masks of vanishing Hom(i, j[-1]) that decide tilting, and the chain
@@ -441,17 +448,30 @@ def find_completion(result: EnumerationResult, node, x: int) -> int | None:
     return found.bit_length() - 1 if found else None
 
 
-def enumerate_two_term_silting(algebra, cap: int = 10000,
-                               seed: int = 0) -> EnumerationResult:
-    """Breadth-first walk from the stalk of the algebra.  Each edge is
-    looked up in the registry; only an edge to an item not yet registered
-    runs a mutation, which then registers it.  The walk draws no random
-    numbers; seed is kept for callers that pass one."""
+def start_walk(algebra) -> EnumerationResult:
+    """A walk holding one node, the stalk of the algebra, and no edges."""
     registry = ComplexRegistry(algebra)
     start = frozenset(
         registry.get_or_insert(projective_stalk(algebra, [v]))
         for v in range(1, algebra.num_vertices + 1))
-    result = EnumerationResult(algebra, registry, [start], {}, "COMPLETE")
+    return EnumerationResult(algebra, registry, [start], {}, "COMPLETE")
+
+
+def walk_from(result: EnumerationResult, start, cap: int,
+              frozen=frozenset()) -> list:
+    """Breadth-first walk from start over the nodes that contain frozen,
+    mutating only at items outside it; returns the nodes reached, start
+    first.  With frozen a presilting set of items, these nodes form the
+    mutation graph of a smaller algebra (tau-tilting reduction; Jasso,
+    IMRN 2015).  Each edge is looked up in result.edges, then in the
+    registry; only an edge to an item not yet registered runs a mutation,
+    which then registers it.  A node no earlier walk on result reached is
+    appended to result.nodes.  The walk stops, setting result.status to
+    TRUNCATED, at the first level that starts with more than cap nodes in
+    result.nodes."""
+    registry = result.registry
+    reached = [start]
+    seen = {start}
     frontier = [start]
     while frontier:
         if len(result.nodes) > cap:
@@ -460,19 +480,82 @@ def enumerate_two_term_silting(algebra, cap: int = 10000,
         nxt = []
         for node in sorted(frontier, key=lambda nd: tuple(sorted(nd))):
             fan = result.edges.setdefault(node, {})
-            for x in sorted(node):
-                if x in fan:
-                    continue
-                yid = find_completion(result, node, x)
-                if yid is None:
-                    qs = [registry.items[q] for q in sorted(node) if q != x]
-                    yid = registry.get_or_insert(mutate_summand(
-                        registry.items[x], qs, _maps=result._maps))
-                new_node = frozenset((node - {x}) | {yid})
-                fan[x] = new_node
-                if new_node not in result.edges:  # first edge into it
-                    result.nodes.append(new_node)
-                    nxt.append(new_node)
-                result.edges.setdefault(new_node, {})[yid] = node
+            for x in sorted(node - frozen):
+                if x not in fan:
+                    yid = find_completion(result, node, x)
+                    if yid is None:
+                        qs = [registry.items[q] for q in sorted(node)
+                              if q != x]
+                        yid = registry.get_or_insert(mutate_summand(
+                            registry.items[x], qs, _maps=result._maps))
+                    new_node = frozenset((node - {x}) | {yid})
+                    fan[x] = new_node
+                    if new_node not in result.edges:  # first edge into it
+                        result.nodes.append(new_node)
+                    result.edges.setdefault(new_node, {})[yid] = node
+                if fan[x] not in seen:
+                    seen.add(fan[x])
+                    reached.append(fan[x])
+                    nxt.append(fan[x])
         frontier = nxt
+    return reached
+
+
+def nu_orbits(result: EnumerationResult, node) -> list:
+    """The orbits of the Nakayama functor on the items of a stable node,
+    as frozensets ordered by their least item."""
+    orbits = []
+    for i in sorted(node):
+        if any(i in orbit for orbit in orbits):
+            continue
+        orbit = {i}
+        j = result.nu_id(i)
+        while j != i:
+            orbit.add(j)
+            j = result.nu_id(j)
+        orbits.append(frozenset(orbit))
+    return orbits
+
+
+def walk_nu_stable(algebra, cap: int = 10000) -> EnumerationResult:
+    """A walk that reaches every stable node (two-term tilting complex,
+    over a selfinjective algebra) without walking the whole mutation
+    graph.  From each stable node T, starting with the algebra, and each
+    orbit X of the Nakayama functor on its items, it walks the nodes that
+    contain T - X (walk_from with T - X frozen) and queues the stable
+    nodes reached.  This follows tilting mutation over a selfinjective
+    algebra, which exchanges a set of summands the Nakayama functor fixes
+    (Aihara-Iyama, J. LMS 2012); that these exchanges reach every stable
+    node is checked against the whole walk by the tests.  A stable node U
+    reached this way gives the same frozen set, so each frozen set is
+    walked once.  result.nodes holds the nodes visited; cap bounds their
+    count as in walk_from, checked before each reduced walk and at each of
+    its levels."""
+    result = start_walk(algebra)
+    stable = list(result.nodes)
+    queued = set(stable)
+    walked = set()
+    for t in stable:  # grows as stable nodes are reached
+        for orbit in nu_orbits(result, t):
+            frozen = t - orbit
+            if frozen in walked:
+                continue
+            walked.add(frozen)
+            reached = walk_from(result, t, cap, frozen)
+            if result.status == "TRUNCATED":
+                return result
+            for u in reached:
+                if u not in queued and result.is_node_nu_stable(u):
+                    queued.add(u)
+                    stable.append(u)
+    return result
+
+
+def enumerate_two_term_silting(algebra, cap: int = 10000,
+                               seed: int = 0) -> EnumerationResult:
+    """Breadth-first walk of the whole mutation graph from the stalk of
+    the algebra (walk_from with nothing frozen).  The walk draws no random
+    numbers; seed is kept for callers that pass one."""
+    result = start_walk(algebra)
+    walk_from(result, result.nodes[0], cap)
     return result

@@ -21,7 +21,9 @@ indecomposable and not isomorphic to another top.  A node's predicates
 are then bitmask tests over registry ids: tau-rigidity is an AND of
 per-top masks of vanishing Hom(top_i, tau top_j), and stability asks
 whether the Nakayama functor, matched once per top to another top,
-permutes the node's tops.
+permutes the node's tops.  The stable pairs come from a walk that visits
+only the nodes next to stable ones (mutation.walk_nu_stable), each visited
+node checked by the same predicates.
 
 Several results carry a second, independently computed route, and any
 disagreement between routes raises TheoremViolationError: stability under
@@ -66,7 +68,12 @@ from .modules import (
     syzygy,
     zero_module,
 )
-from .mutation import EnumerationResult, ItemMasks, enumerate_two_term_silting
+from .mutation import (
+    EnumerationResult,
+    ItemMasks,
+    enumerate_two_term_silting,
+    walk_nu_stable,
+)
 from .translate import (
     _nu_module_of,
     _transpose_of,
@@ -367,8 +374,8 @@ def _complex_to_pair_unchecked(c: TwoTermComplex, rng=None) -> STPair:
 
 @dataclass
 class PairEnumeration:
-    """All basic support tau-tilting pairs reached by the silting walk,
-    aligned index-for-index with the silting nodes that produced them.
+    """Basic support tau-tilting pairs of the nodes of a silting walk;
+    node_index maps each node that has a pair to its index in pairs.
     tops[i] is the cokernel of registry item i, None for a shifted stalk;
     the pairs share these module objects, and tables holds what the
     predicates learned about them.  The node predicates read facts kept
@@ -437,11 +444,11 @@ class PairEnumeration:
         return tops == images
 
 
-def enumerate_support_tau_tilting(algebra, cap: int = 10000, seed: int = 0,
-                                  rng=None) -> PairEnumeration:
-    enum = enumerate_two_term_silting(algebra, cap, seed)
-    items = enum.registry.items
-    tops = [item.h0() if item.deg0 else None for item in items]
+def _pair_enumeration(algebra, enum: EnumerationResult) -> PairEnumeration:
+    """A PairEnumeration of the walk enum with no pairs yet: the tops of
+    its registry items, each checked once to be indecomposable and not
+    isomorphic to another top."""
+    tops = [item.h0() if item.deg0 else None for item in enum.registry.items]
     modules = [m for m in tops if m is not None]
     tables = SummandTables()
     if not all(is_indecomposable(m) and not any(
@@ -449,50 +456,65 @@ def enumerate_support_tau_tilting(algebra, cap: int = 10000, seed: int = 0,
             for k, m in enumerate(modules)):
         raise TheoremViolationError(
             "a silting summand has a decomposable or repeated top")
-    out = PairEnumeration(algebra, [], enum.status, enum, {}, tops, tables)
-    for k, node in enumerate(enum.nodes):
-        pair = make_pair(
-            algebra, [tops[i] for i in sorted(node) if tops[i] is not None],
-            [items[i].deg1[0] for i in node if tops[i] is None])
-        if not out.is_node_support_tau_tilting(node):
-            raise TheoremViolationError(
-                "a silting node transported to a non-tau-tilting pair"
-            )
-        out.node_index[node] = k
-        out.pairs.append(pair)
+    return PairEnumeration(algebra, [], enum.status, enum, {}, tops, tables)
+
+
+def _add_pair(out: PairEnumeration, node) -> STPair:
+    """Append the pair of a node, its tops and the vertices of its shifted
+    stalks, to out.pairs, indexed by the node."""
+    items = out.silting.registry.items
+    pair = make_pair(
+        out.algebra,
+        [out.tops[i] for i in sorted(node) if out.tops[i] is not None],
+        [items[i].deg1[0] for i in node if out.tops[i] is None])
+    out.node_index[node] = len(out.pairs)
+    out.pairs.append(pair)
+    return pair
+
+
+def _require_support_tau_tilting(out: PairEnumeration, node) -> None:
+    if not out.is_node_support_tau_tilting(node):
+        raise TheoremViolationError(
+            "a silting node transported to a non-tau-tilting pair")
+
+
+def enumerate_support_tau_tilting(algebra, cap: int = 10000, seed: int = 0,
+                                  rng=None) -> PairEnumeration:
+    out = _pair_enumeration(algebra,
+                            enumerate_two_term_silting(algebra, cap, seed))
+    for node in out.silting.nodes:
+        _require_support_tau_tilting(out, node)
+        _add_pair(out, node)
     return out
 
 
-def enumerate_nu_stable(algebra, cap: int = 10000, seed: int = 0,
-                        rng=None) -> PairEnumeration:
-    """Stable pairs by two independent routes: filtering the pair
-    enumeration by stability (the Nakayama functor permutes the node's
-    tops), and filtering the silting enumeration by the tilting criterion.
-    The index sets must agree, and the complement vertices of a stable
-    pair must be closed under the Nakayama permutation."""
-    base = enumerate_support_tau_tilting(algebra, cap, seed, rng)
+def enumerate_nu_stable(algebra, cap: int = 10000) -> PairEnumeration:
+    """The stable pairs, from the walk over stable nodes
+    (mutation.walk_nu_stable); silting.nodes holds the nodes it visited,
+    and pairs the stable ones.  Every visited node is checked: its pair
+    is support tau-tilting, and it is stable by the pair route (the
+    Nakayama functor permutes its tops) exactly when it is by the complex
+    route (it permutes its items) and exactly when it is tilting.  The
+    complement vertices of each stable pair must be closed under the
+    Nakayama permutation."""
+    out = _pair_enumeration(algebra, walk_nu_stable(algebra, cap))
+    walk = out.silting
     perm = nakayama_permutation(algebra)
-    by_stability = []
-    for k, node in enumerate(base.silting.nodes):
-        if not base.is_node_nu_stable(node):
-            continue
-        pverts = base.pairs[k].pverts
-        if sorted(perm[v] for v in pverts) != sorted(pverts):
+    for node in walk.nodes:
+        _require_support_tau_tilting(out, node)
+        stable = out.is_node_nu_stable(node)
+        if not stable == walk.is_node_nu_stable(node) == \
+                walk.is_node_tilting(node):
             raise TheoremViolationError(
-                "stable module part with complement vertices not closed "
-                "under the Nakayama permutation"
-            )
-        by_stability.append(k)
-    by_tilting = [k for k, node in enumerate(base.silting.nodes)
-                  if base.silting.is_node_tilting(node)]
-    if by_stability != by_tilting:
-        raise TheoremViolationError(
-            "stable-pair route and tilting-complex route disagree"
-        )
-    picked = [base.pairs[k] for k in by_stability]
-    index = {base.silting.nodes[k]: i for i, k in enumerate(by_stability)}
-    return PairEnumeration(algebra, picked, base.status, base.silting, index,
-                           base.tops, base.tables)
+                "stable-pair route, stable-complex route and tilting-complex "
+                "route disagree")
+        if stable:
+            pverts = _add_pair(out, node).pverts
+            if sorted(perm[v] for v in pverts) != sorted(pverts):
+                raise TheoremViolationError(
+                    "stable module part with complement vertices not closed "
+                    "under the Nakayama permutation")
+    return out
 
 
 # -- torsion classes ------------------------------------------------------------

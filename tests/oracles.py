@@ -9,7 +9,9 @@ full multiplication table on each call rather than reading kept tables,
 mutation goes through the universal approximation and decomposition
 rather than the minimal approximation, and complexes are decomposed and
 compared as modules over the triangular matrix algebra rather than by
-idempotents of their chain-map rings.
+idempotents of their chain-map rings, and the stable pairs come from
+filtering the whole silting walk rather than from the walk over stable
+nodes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,11 @@ import numpy as np
 
 from tautilt.algebra import Arrow, Quiver, Relation, build_algebra
 from tautilt.complexes import TwoTermComplex
-from tautilt.errors import FieldTooSmallError, PrimeTooLargeError
+from tautilt.errors import (
+    FieldTooSmallError,
+    PrimeTooLargeError,
+    TheoremViolationError,
+)
 from tautilt.modules import (
     Rep,
     RepMap,
@@ -40,8 +46,13 @@ from tautilt.modules import (
     submodule_generated,
     syzygy,
 )
-from tautilt.pairs import is_support_tau_tilting_pair, make_pair
-from tautilt.translate import nu_module, tau, tau_minus
+from tautilt.pairs import (
+    PairEnumeration,
+    enumerate_support_tau_tilting,
+    is_support_tau_tilting_pair,
+    make_pair,
+)
+from tautilt.translate import nakayama_permutation, nu_module, tau, tau_minus
 
 
 # -- self-contained linear algebra ----------------------------------------------
@@ -862,6 +873,41 @@ def weyl_group_d(n: int) -> tuple:
              if all(tuple(-x for x in act(w, r)) in positive for r in positive)]
     central = sum(compose(u, w0) == compose(w0, u) for u in group)
     return len(group), central
+
+
+# -- stable pairs from the whole silting walk -----------------------------------
+
+
+def full_walk_nu_stable(algebra, cap: int = 10000) -> PairEnumeration:
+    """Stable pairs by two independent routes over every node of the
+    silting walk: filtering the pair enumeration by stability (the
+    Nakayama functor permutes the node's tops), and filtering the walk by
+    the tilting criterion.  The index sets must agree, and the complement
+    vertices of a stable pair must be closed under the Nakayama
+    permutation."""
+    base = enumerate_support_tau_tilting(algebra, cap)
+    perm = nakayama_permutation(algebra)
+    by_stability = []
+    for k, node in enumerate(base.silting.nodes):
+        if not base.is_node_nu_stable(node):
+            continue
+        pverts = base.pairs[k].pverts
+        if sorted(perm[v] for v in pverts) != sorted(pverts):
+            raise TheoremViolationError(
+                "stable module part with complement vertices not closed "
+                "under the Nakayama permutation"
+            )
+        by_stability.append(k)
+    by_tilting = [k for k, node in enumerate(base.silting.nodes)
+                  if base.silting.is_node_tilting(node)]
+    if by_stability != by_tilting:
+        raise TheoremViolationError(
+            "stable-pair route and tilting-complex route disagree"
+        )
+    picked = [base.pairs[k] for k in by_stability]
+    index = {base.silting.nodes[k]: i for i, k in enumerate(by_stability)}
+    return PairEnumeration(algebra, picked, base.status, base.silting, index,
+                           base.tops, base.tables)
 
 
 # -- pair set comparison ------------------------------------------------------------

@@ -233,7 +233,8 @@ def test_criterion_7_lemma_suite(nak6, nak4, prep3):
         for pair in stable.pairs:
             if sorted(perm[v] for v in pair.pverts) != sorted(pair.pverts):
                 violations += 1
-        silting = stable.silting
+        # the lemmas below are read over every node of the silting graph
+        silting = enumerate_two_term_silting(alg)
         for node in silting.nodes:
             setwise = silting.is_node_nu_stable(node)
             if setwise:

@@ -11,7 +11,12 @@ import pytest
 from sympy import nextprime
 
 from tautilt.cli import main
-from tautilt.pairs import complex_to_pair, make_pair, pair_to_complex
+from tautilt.pairs import (
+    complex_to_pair,
+    enumerate_nu_stable,
+    make_pair,
+    pair_to_complex,
+)
 from tautilt.textio import (
     parse_algebra_file,
     parse_algebra_text,
@@ -162,6 +167,25 @@ def test_cap_counts_nodes_once_per_level(capsys, data_dir):
     doc = json.loads(out)
     assert code == 0 and doc["flag"] == "COMPLETE"
     assert len(doc["entries"]) == full
+
+
+def test_nu_stable_cap_counts_visited_nodes(capsys, data_dir):
+    """For --filter nu-stable, --cap bounds the nodes the walk over stable
+    nodes visits (80 on nakayama6), checked before each reduced walk: a
+    small cap stops it TRUNCATED, and the visited count completes it."""
+    alg = str(data_dir / "nakayama6.alg")
+    visited = len(enumerate_nu_stable(parse_algebra_file(alg)).silting.nodes)
+    assert visited == 80
+    code, out, _ = run(capsys, "enumerate", alg, "--filter", "nu-stable",
+                       "--cap", "10")
+    doc = json.loads(out)
+    assert code == 3 and doc["flag"] == "TRUNCATED"
+    assert len(doc["entries"]) < 20
+    code, out, _ = run(capsys, "enumerate", alg, "--filter", "nu-stable",
+                       "--cap", str(visited))
+    doc = json.loads(out)
+    assert code == 0 and doc["flag"] == "COMPLETE"
+    assert len(doc["entries"]) == 20
 
 
 def test_enumerate_nu_stable_rejected_off_selfinjective(capsys, data_dir):
@@ -316,6 +340,8 @@ def test_walk_never_builds_the_triangular_algebra(capsys, monkeypatch,
     (("enumerate", "preproj_a3.alg", "--filter", "silting"),
      "enumerate_preproj_a3_silting.stdout"),
     (("report-2cy", "nakayama4.alg"), "report-2cy_nakayama4.stdout"),
+    (("enumerate", "nakayama4.alg", "--filter", "nu-stable"),
+     "enumerate_nakayama4_nu_stable.stdout"),
 ])
 def test_stdout_matches_golden(capsys, data_dir, argv, golden):
     command, name, *rest = argv

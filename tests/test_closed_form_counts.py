@@ -3,12 +3,15 @@ on algebras built by the benchmark's generator and by the oracles:
 C(2n, n) for the selfinjective Nakayama algebra with n simples and Loewy
 length n (Adachi, J. Algebra 2016), and the order of the Weyl group W for
 the preprojective algebra of a Dynkin graph, (n+1)! for A_n (Mizuno,
-Math. Z. 2014).  All of them run at the default prime."""
+Math. Z. 2014).  Node and registry counts come from the whole silting
+walk, stable counts from the walk over stable nodes.  All of them run at
+the default prime."""
 
 import math
 
 import pytest
 
+from tautilt.mutation import enumerate_two_term_silting
 from tautilt.pairs import enumerate_nu_stable, enumerate_support_tau_tilting
 from tautilt.textio import parse_algebra_text
 
@@ -24,10 +27,12 @@ def test_selfinjective_nakayama_count(algebras, n):
 
 
 def test_preprojective_a4_count(pa4):
-    # the stable route and the tilting route are cross-checked inside
+    enum = enumerate_support_tau_tilting(pa4)
+    assert enum.status == "COMPLETE"
+    assert len(enum.silting.nodes) == math.factorial(5)
+    # the stable routes and the tilting route are cross-checked inside
     stable = enumerate_nu_stable(pa4)
     assert stable.status == "COMPLETE"
-    assert len(stable.silting.nodes) == math.factorial(5)
     assert len(stable.pairs) == 8
 
 
@@ -39,11 +44,13 @@ def test_preprojective_a5_nu_stable_count(algebras):
     tau-tilting module of w to that of w0 w w0, and the stable ones are
     the w commuting with w0.  For A_5, w0 is the product of three disjoint
     transpositions, with centraliser 2^3 * 3! = 48."""
-    stable = enumerate_nu_stable(
-        parse_algebra_text(algebras.preprojective(5)))
+    alg = parse_algebra_text(algebras.preprojective(5))
+    walk = enumerate_two_term_silting(alg)
+    assert walk.status == "COMPLETE"
+    assert len(walk.nodes) == math.factorial(6)
+    assert len(walk.registry) == 2**6 - 2
+    stable = enumerate_nu_stable(alg)
     assert stable.status == "COMPLETE"
-    assert len(stable.silting.nodes) == math.factorial(6)
-    assert len(stable.silting.registry) == 2**6 - 2
     assert len(stable.pairs) == 2**3 * math.factorial(3)
 
 
@@ -53,11 +60,13 @@ def test_preprojective_a6_nu_stable_count(algebras):
     the w commuting with w0 in W = S_7; there w0 is the product of three
     disjoint transpositions and a fixed point, with centraliser
     2^3 * 3! * 1! = 48."""
-    stable = enumerate_nu_stable(
-        parse_algebra_text(algebras.preprojective(6)))
+    alg = parse_algebra_text(algebras.preprojective(6))
+    walk = enumerate_two_term_silting(alg)
+    assert walk.status == "COMPLETE"
+    assert len(walk.nodes) == math.factorial(7)
+    assert len(walk.registry) == 2**7 - 2
+    stable = enumerate_nu_stable(alg)
     assert stable.status == "COMPLETE"
-    assert len(stable.silting.nodes) == math.factorial(7)
-    assert len(stable.silting.registry) == 2**7 - 2
     assert len(stable.pairs) == 2**3 * math.factorial(3) * math.factorial(1)
 
 
@@ -68,7 +77,10 @@ def test_preprojective_d4_every_node_is_stable():
     signed-permutation oracle."""
     order, centraliser = oracles.weyl_group_d(4)
     assert (order, centraliser) == (192, 192)
-    stable = enumerate_nu_stable(parse_algebra_text(oracles.preprojective_d(4)))
+    alg = parse_algebra_text(oracles.preprojective_d(4))
+    walk = enumerate_two_term_silting(alg)
+    assert walk.status == "COMPLETE"
+    assert len(walk.nodes) == order
+    stable = enumerate_nu_stable(alg)
     assert stable.status == "COMPLETE"
-    assert len(stable.silting.nodes) == order
     assert len(stable.pairs) == centraliser
