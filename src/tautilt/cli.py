@@ -3,7 +3,8 @@
 Subcommands: info, check, phi, enumerate, report-2cy.  Exit codes follow
 one convention everywhere: 0 for success or a consistent report, 1 when a
 requested predicate fails or the report finds an obstruction, 2 for input
-errors, 3 for truncated enumerations and internal assertion failures.
+errors and input outside what the package handles, 3 for truncated
+enumerations and internal assertion failures.
 """
 
 from __future__ import annotations
@@ -79,10 +80,18 @@ def _permutation_cycles(perm: dict) -> str:
 
 def _summand_classes(algebra, expr: str) -> tuple:
     """(classes, multiplicities) of a module expression.  Each term is
-    decomposed on its own, so sympy is loaded only for a term that
-    splits; classes follow their first appearance."""
-    parts = [part for term in parse_module_terms(algebra, expr)
-             for part in decompose(term)]
+    decomposed on its own, so only a term that splits pays for a
+    splitting search; classes follow their first appearance."""
+    parts = []
+    for term in parse_module_terms(algebra, expr):
+        try:
+            parts.extend(decompose(term))
+        except RandomnessExhaustedError as exc:
+            raise RandomnessExhaustedError(
+                f"the term with dimension vector {list(term.dim_vector())} "
+                "has a summand whose endomorphism ring looks local with a "
+                f"residue field larger than F_{algebra.field.p}, which "
+                "tautilt does not handle") from exc
     return iso_classes(parts)
 
 
@@ -185,7 +194,7 @@ def _enumeration_entries(algebra, args):
         rows = [(pe.pairs[idx], pe.silting.node_complex(node), True, node)
                 for node, idx in withnodes]
         return pe.status, pe.silting, rows, selfinj
-    pe = enumerate_support_tau_tilting(algebra, args.cap, args.seed)
+    pe = enumerate_support_tau_tilting(algebra, args.cap)
     rows = []
     for node, idx in sorted(pe.node_index.items(), key=lambda kv: kv[1]):
         tilting = pe.silting.is_node_tilting(node)
@@ -234,7 +243,7 @@ def cmd_report_2cy(args) -> int:
     from .pairs import two_cy_obstruction_report
 
     algebra = parse_algebra_file(args.algebra, args.field_p)
-    report = two_cy_obstruction_report(algebra, args.cap, args.seed)
+    report = two_cy_obstruction_report(algebra, args.cap)
     doc = {
         "algebra": algebra_json(algebra),
         "checks": report.checks,
@@ -321,7 +330,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TheoremViolationError, MutationAmbiguousError,
-            RandomnessExhaustedError, AssertionError) as exc:
+            AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except (FieldTooSmallError, PrimeTooLargeError) as exc:

@@ -15,10 +15,10 @@ routine, eliminate_units, strips contractible summands both from two-term
 complexes and from the three-term cones that mutation builds.
 
 Minimal complexes are homotopy equivalent exactly when they are
-isomorphic on the nose.  A complex is decomposed by idempotents of its
-ring of chain maps End_C(c), not taken modulo homotopy, acting on the
-per-vertex blocks of c^{-1} and c^0 (decompose_complex); the splitter is
-the one that decomposes modules.  An indecomposable minimal complex with
+isomorphic on the nose.  A complex is decomposed by Fitting splits of
+elements of its ring of chain maps End_C(c), not taken modulo homotopy,
+acting on the per-vertex blocks of c^{-1} and c^0 (decompose_complex); the
+splitter is the one that decomposes modules.  An indecomposable minimal complex with
 a local endomorphism ring, such as every item of the enumeration's
 registry and every summand that decompose_complex returns, is compared
 with another complex by the top-trace pairing (isomorphic_by_top_trace):
@@ -45,8 +45,8 @@ from .modules import (
     quotient_rep,
     repmap_to_elements,
     same_summands,
-    splitting_idempotents,
     sub_rep,
+    summand_rows,
 )
 from .translate import nu_element, selfinjective_data
 
@@ -323,7 +323,7 @@ def minimalize(c: TwoTermComplex) -> TwoTermComplex:
     return TwoTermComplex(c.algebra, deg1, deg0, d, check=False)
 
 
-# -- decomposition by chain-map idempotents ---------------------------------
+# -- decomposition by chain-map Fitting splits -------------------------------
 
 
 def _chain_map_blocks(c: TwoTermComplex) -> list:
@@ -343,14 +343,14 @@ def _chain_map_blocks(c: TwoTermComplex) -> list:
     return out
 
 
-def _image_complex(c: TwoTermComplex, e: dict) -> TwoTermComplex:
-    """The summand of c that an idempotent chain map e cuts out: its images
-    on c^{-1} and c^0 with the restricted differential, re-coordinatised
-    onto the path basis through projective covers."""
+def _image_complex(c: TwoTermComplex, rows: dict) -> TwoTermComplex:
+    """The summand of c that rows span on c^{-1} and c^0, keyed like the
+    blocks of _chain_map_blocks, with the restricted differential,
+    re-coordinatised onto the path basis through projective covers."""
     field = c.algebra.field
     f = c.expand()
-    s1, i1 = sub_rep(f.src, {v: e[-1, v] for v in f.src.dims})
-    s0, i0 = sub_rep(f.tgt, {v: e[0, v] for v in f.tgt.dims})
+    s1, i1 = sub_rep(f.src, {v: rows[-1, v] for v in f.src.dims})
+    s0, i0 = sub_rep(f.tgt, {v: rows[0, v] for v in f.tgt.dims})
     restricted = RepMap(s1, s0, {
         v: field.solve_left(i0.blocks[v], field.matmul(i1.blocks[v], b))
         for v, b in f.blocks.items()})
@@ -365,18 +365,18 @@ def _image_complex(c: TwoTermComplex, e: dict) -> TwoTermComplex:
 
 
 def decompose_complex(c: TwoTermComplex, rng=None) -> list:
-    """Indecomposable direct summands, with repetition: the images of
-    splitting idempotents of End_C(c), split again in turn.  The splitter
-    is the one modules.decompose uses."""
+    """Indecomposable direct summands, with repetition: the two halves of
+    a Fitting split of c by an element of End_C(c), split again in turn.
+    The splitter is the one modules.decompose uses."""
     if c.is_zero():
         return []
     if rng is None:
         rng = np.random.default_rng(0)
-    split = splitting_idempotents(_chain_map_blocks(c), c.algebra.field, rng)
+    split = summand_rows(_chain_map_blocks(c), c.algebra.field, rng)
     if split is None:
         return [c]
-    return [part for e in split
-            for part in decompose_complex(_image_complex(c, e), rng)]
+    return [part for rows in split
+            for part in decompose_complex(_image_complex(c, rows), rng)]
 
 
 def isomorphic_by_top_trace(x: TwoTermComplex, y: TwoTermComplex) -> bool:

@@ -44,9 +44,11 @@ class ZeroModuleError(TautiltError):
 
 
 class RandomnessExhaustedError(TautiltError):
-    """A randomized splitting routine failed its trial budget.  With the
-    default prime this indicates a module whose endomorphism ring has a
-    residue division ring bigger than the prime field."""
+    """The splitter found no endomorphism that splits an object whose
+    endomorphism ring fails the local test, within its budget of random
+    combinations.  Such a ring looks local with a residue field larger
+    than F_p, say F_{p^2}, which the package does not handle; the command
+    line reports it as an input error (exit 2)."""
 
 
 class NotSelfinjectiveError(TautiltError):

@@ -16,6 +16,11 @@ is the ordinary matrix product over the algebra.
 A block with a zero side is never eliminated: loops over vertices and
 arrows skip zero vertex spaces, and Hom systems have unknowns only where
 both modules are nonzero.
+
+Modules, and two-term complexes through the same splitter, are
+decomposed by Fitting's lemma: an endomorphism u of an object of finite
+length splits it as ker u^N + im u^N (summand_rows).  No polynomial is
+factorised.
 """
 
 from __future__ import annotations
@@ -574,37 +579,6 @@ def elements_to_repmap(algebra, src_verts: list, tgt_verts: list,
 # -- decomposition -----------------------------------------------------------
 
 
-def _min_poly_coeffs(blocks: dict, field) -> list:
-    """Monic minimal polynomial of a per-vertex family of square matrices,
-    lowest degree first."""
-    p = field.p
-    flat0 = np.concatenate([field.identity(b.shape[0]).ravel()
-                            for b in blocks.values()])
-    power = np.concatenate([b.ravel() for b in blocks.values()])
-    cur = {v: b.copy() for v, b in blocks.items()}
-    stack = [flat0]
-    while True:
-        sol = field.solve_left(np.array(stack, dtype=np.int64), power)
-        if sol is not None:
-            return [(-int(c)) % p for c in sol] + [1]
-        stack.append(power)
-        cur = {v: field.matmul(cur[v], blocks[v]) for v in blocks}
-        power = np.concatenate([b.ravel() for b in cur.values()])
-        if len(stack) > flat0.size + 2:
-            raise AssertionError("minimal polynomial search did not terminate")
-
-
-def _poly_eval(coeffs: list, blocks: dict, field) -> dict:
-    """Evaluate a polynomial (lowest degree first) at a per-vertex family."""
-    out = {}
-    for v, b in blocks.items():
-        acc = field.zeros(b.shape[0], b.shape[0])
-        for c in reversed(coeffs):
-            acc = (field.matmul(acc, b) + int(c) % field.p * field.identity(b.shape[0])) % field.p
-        out[v] = acc
-    return out
-
-
 def _is_local(ends: list, field) -> bool:
     """Whether the ring spanned by ends, a basis of the endomorphisms of
     some object as per-vertex block families, is local with residue field
@@ -614,84 +588,78 @@ def _is_local(ends: list, field) -> bool:
     return field.rank(_pairing_matrix(ends, ends, field)) == 1
 
 
-def _idempotent_of(u: dict, field) -> dict | None:
-    """A nontrivial idempotent that is a polynomial in the block family u,
-    or None.
+def _fitting_rows(u: dict, field) -> tuple | None:
+    """Rows spanning ker v and im v per vertex, for the endomorphism
+    v = u^(q (p-1) / 2) - 1 with q a power of p at least every block size,
+    or None when one side is zero at every vertex.
 
-    Factors the minimal polynomial of u; coprime factors give an exact
-    idempotent via the extended Euclidean algorithm, no lifting involved.
-    """
-    import sympy
-
+    By Fitting's lemma the q-th power kills the nilpotent part of u, and a
+    power of a diagonalisable map is diagonalisable, so the object is
+    ker v + im v, a direct sum of subobjects.  ker v is the sum of the
+    generalised eigenspaces of u at the nonzero squares of F_p."""
     p = field.p
-    blocks = {v: b for v, b in u.items() if b.shape[0] > 0}
-    if not blocks:
+    q = p
+    while q < max(b.shape[0] for b in u.values()):
+        q *= p
+    ker, im = {}, {}
+    for k, b in u.items():
+        n = b.shape[0]
+        w, e = field.identity(n), q * (p - 1) // 2
+        while e:
+            if e & 1:
+                w = field.matmul(w, b)
+            b, e = field.matmul(b, b), e >> 1
+        v = (w - field.identity(n)) % p
+        ker[k], im[k] = field.left_kernel_basis(v), field.row_space_basis(v)
+        if field.rank(np.vstack([ker[k], im[k]])) != n:
+            raise AssertionError("Fitting halves are not complementary")
+    if not any(len(r) for r in ker.values()) or not any(
+            len(r) for r in im.values()):
         return None
-    coeffs = _min_poly_coeffs(blocks, field)
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(coeffs)), x, modulus=p)
-    _, factors = poly.factor_list()
-    if len(factors) < 2:
-        return None
-    factors = sorted(factors, key=lambda fm: (fm[0].degree(), str(fm[0])))
-    f1 = factors[0][0] ** factors[0][1]
-    f2 = sympy.Poly(1, x, modulus=p)
-    for fac, mult in factors[1:]:
-        f2 = f2 * fac ** mult
-    s, t, h = f1.gcdex(f2)
-    if h.degree() != 0:
-        raise AssertionError("complementary factors are not coprime")
-    # on ker f1(u) the combination t*f2 acts as 1, on ker f2(u) as 0
-    hinv = field.inv_scalar(int(h.all_coeffs()[-1]))
-    proj_poly = t * f2
-    pcoeffs = [int(c) * hinv % p for c in reversed(proj_poly.all_coeffs())]
-    eps = _poly_eval(pcoeffs, u, field)
-    ranks = sum(field.rank(b) for b in eps.values())
-    if ranks == 0 or ranks == sum(b.shape[0] for b in eps.values()):
-        return None
-    for b in eps.values():
-        if (field.matmul(b, b) != b).any():
-            raise AssertionError("idempotent construction failed")
-    return eps
+    return ker, im
 
 
-def splitting_idempotents(ends: list, field, rng) -> tuple | None:
-    """Complementary nontrivial idempotents (e, 1 - e) in the ring spanned
-    by ends, or None when that ring is local (_is_local).  ends is a basis
-    of the endomorphisms of some object, each a family of blocks keyed by
-    vertex: a module map, or the per-vertex blocks of a chain map on both
-    degrees of a complex.  Each basis element is tried, then random
-    combinations of them."""
+def summand_rows(ends: list, field, rng) -> tuple | None:
+    """Two complementary nonzero summands of an object, as rows spanning
+    them per vertex, or None when its endomorphism ring is local
+    (_is_local).  ends is a basis of the endomorphisms of the object, each
+    a family of blocks keyed by vertex: a module map, or the per-vertex
+    blocks of a chain map on both degrees of a complex.  Each basis element
+    is tried for a Fitting split (_fitting_rows), then random combinations
+    of them."""
     if _is_local(ends, field):
         return None
     p = field.p
     candidates = list(ends)
     for _ in range(200):
         for u in candidates:
-            eps = _idempotent_of(u, field)
-            if eps is not None:
-                return eps, {v: (field.identity(b.shape[0]) - b) % p
-                             for v, b in eps.items()}
+            split = _fitting_rows(u, field)
+            if split is not None:
+                return split
         coeffs = rng.integers(0, p, size=len(ends))
         candidates = [{v: sum(int(c) * f[v] % p for c, f in zip(coeffs, ends))
                        % p for v in ends[0]}]
     raise RandomnessExhaustedError(
-        "no splitting endomorphism found for a decomposable object"
+        "no endomorphism splits an object whose endomorphism ring is not "
+        "local with residue field F_p: it looks local with a larger "
+        "residue field"
     )
 
 
 def decompose(m: Rep, rng=None) -> list:
     """Indecomposable summands of m, with repetition, as a list of Rep: the
-    images of splitting idempotents of End(m), split again in turn."""
+    two halves of a Fitting split of m by an element of End(m)
+    (summand_rows), split again in turn."""
     if m.is_zero():
         return []
     if rng is None:
         rng = np.random.default_rng(0)
-    split = splitting_idempotents([f.blocks for f in hom_basis(m, m)],
-                                  m.algebra.field, rng)
+    split = summand_rows([f.blocks for f in hom_basis(m, m)],
+                         m.algebra.field, rng)
     if split is None:
         return [m]
-    return [part for e in split for part in decompose(sub_rep(m, e)[0], rng)]
+    return [part for rows in split
+            for part in decompose(sub_rep(m, rows)[0], rng)]
 
 
 def _indec_iso(m: Rep, n: Rep) -> bool:

@@ -551,11 +551,10 @@ def walk_nu_stable(algebra, cap: int = 10000) -> EnumerationResult:
     return result
 
 
-def enumerate_two_term_silting(algebra, cap: int = 10000,
-                               seed: int = 0) -> EnumerationResult:
+def enumerate_two_term_silting(algebra, cap: int = 10000) -> EnumerationResult:
     """Breadth-first walk of the whole mutation graph from the stalk of
     the algebra (walk_from with nothing frozen).  The walk draws no random
-    numbers; seed is kept for callers that pass one."""
+    numbers."""
     result = start_walk(algebra)
     walk_from(result, result.nodes[0], cap)
     return result

@@ -228,7 +228,7 @@ class SummandTables:
         return self.same_sum(nonzero(tau), nonzero(tau_minus))
 
 
-def is_support_tau_tilting_pair(pair: STPair, rng=None,
+def is_support_tau_tilting_pair(pair: STPair,
                                 tables: SummandTables | None = None) -> bool:
     if any(m.dims[v] != 0 for m in pair.modules for v in pair.pverts):
         return False
@@ -258,7 +258,7 @@ def completion_projectives(modules: list, algebra=None) -> tuple:
     return pverts
 
 
-def is_nu_stable_pair(pair: STPair, rng=None,
+def is_nu_stable_pair(pair: STPair,
                       tables: SummandTables | None = None) -> bool:
     """Whether the module part is fixed by the Nakayama functor.  For a
     support tau-tilting pair the complement vertices must then be closed
@@ -275,7 +275,7 @@ def is_nu_stable_pair(pair: STPair, rng=None,
     return stable
 
 
-def is_support_tau_minus_tilting(modules: list, algebra=None, rng=None,
+def is_support_tau_minus_tilting(modules: list, algebra=None,
                                  tables: SummandTables | None = None) -> bool:
     """Support tau-minus-tilting, computed directly and again through
     duality over the opposite algebra; the routes must agree."""
@@ -292,7 +292,7 @@ def is_support_tau_minus_tilting(modules: list, algebra=None, rng=None,
         [tables.image(tau_minus, m) for m in pair.modules], pair.modules)
     dpair = STPair(algebra.opposite(),
                    tuple(tables.dual(m) for m in pair.modules), zero_verts)
-    via_dual = is_support_tau_tilting_pair(dpair, rng, tables)
+    via_dual = is_support_tau_tilting_pair(dpair, tables=tables)
     if direct != via_dual:
         raise TheoremViolationError(
             "direct tau-minus route and duality route disagree"
@@ -330,10 +330,10 @@ def summand_flags(algebra, classes: list, mults: list, pverts) -> dict:
 # -- transport to and from two-term complexes ----------------------------------
 
 
-def pair_to_complex(pair: STPair, rng=None) -> TwoTermComplex:
+def pair_to_complex(pair: STPair) -> TwoTermComplex:
     """Minimal presentations of the module part plus shifted stalks for the
     complement vertices, as one two-term complex."""
-    if not is_support_tau_tilting_pair(pair, rng):
+    if not is_support_tau_tilting_pair(pair):
         raise NotSupportTauTiltingError(
             "transport to a complex needs a support tau-tilting pair"
         )
@@ -478,10 +478,8 @@ def _require_support_tau_tilting(out: PairEnumeration, node) -> None:
             "a silting node transported to a non-tau-tilting pair")
 
 
-def enumerate_support_tau_tilting(algebra, cap: int = 10000, seed: int = 0,
-                                  rng=None) -> PairEnumeration:
-    out = _pair_enumeration(algebra,
-                            enumerate_two_term_silting(algebra, cap, seed))
+def enumerate_support_tau_tilting(algebra, cap: int = 10000) -> PairEnumeration:
+    out = _pair_enumeration(algebra, enumerate_two_term_silting(algebra, cap))
     for node in out.silting.nodes:
         _require_support_tau_tilting(out, node)
         _add_pair(out, node)
@@ -533,7 +531,7 @@ def is_ext_projective_in_fac(m: Rep, x: Rep) -> bool:
     return module_hom_dim(x, tau(m)) == 0
 
 
-def nu_stable_torsion_check(x: Rep, rng=None) -> bool:
+def nu_stable_torsion_check(x: Rep) -> bool:
     """Whether x and its Nakayama image generate the same class."""
     selfinjective_data(x.algebra)
     return fac_equal(x, nu_module(x))
@@ -576,8 +574,7 @@ CHECK_TAU_MINUS = "tau-minus-coincidence"
 CHECK_NU_TRANSLATE = "stable-pair-translate-symmetry"
 
 
-def two_cy_obstruction_report(algebra, cap: int = 10000, seed: int = 0,
-                              rng=None) -> ObstructionReport:
+def two_cy_obstruction_report(algebra, cap: int = 10000) -> ObstructionReport:
     checks = {}
     details = []
     truncated = False
@@ -586,16 +583,15 @@ def two_cy_obstruction_report(algebra, cap: int = 10000, seed: int = 0,
     if checks[CHECK_GORENSTEIN] == "FAIL":
         details.append("the regular module has injective dimension above 1")
 
-    enum = enumerate_support_tau_tilting(algebra, cap, seed, rng)
-    op_enum = enumerate_support_tau_tilting(algebra.opposite(), cap, seed,
-                                            rng)
+    enum = enumerate_support_tau_tilting(algebra, cap)
+    op_enum = enumerate_support_tau_tilting(algebra.opposite(), cap)
     truncated = enum.status == "TRUNCATED" or op_enum.status == "TRUNCATED"
 
     tables = enum.tables
     coincide = True
     for pair in enum.pairs:
-        if not is_support_tau_minus_tilting(list(pair.modules), algebra, rng,
-                                            tables):
+        if not is_support_tau_minus_tilting(list(pair.modules), algebra,
+                                            tables=tables):
             coincide = False
             details.append(
                 "a support tau-tilting module is not support tau-minus-tilting"
@@ -606,7 +602,7 @@ def two_cy_obstruction_report(algebra, cap: int = 10000, seed: int = 0,
             back = STPair(algebra,
                           tuple(tables.dual(m) for m in op_pair.modules),
                           op_pair.pverts)
-            if not is_support_tau_tilting_pair(back, rng, tables):
+            if not is_support_tau_tilting_pair(back, tables=tables):
                 coincide = False
                 details.append(
                     "a support tau-minus-tilting module is not support "
@@ -625,7 +621,7 @@ def two_cy_obstruction_report(algebra, cap: int = 10000, seed: int = 0,
     else:
         symmetric = True
         for pair in enum.pairs:
-            if not is_nu_stable_pair(pair, rng, tables):
+            if not is_nu_stable_pair(pair, tables=tables):
                 continue
             if not tables.tau_symmetric(pair.modules,
                                         [1] * len(pair.modules)):

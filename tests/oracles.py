@@ -7,11 +7,12 @@ indecomposable list comes from translate-closure of a seed rather than
 from any enumeration walk, complex homs build every operator from the
 full multiplication table on each call rather than reading kept tables,
 mutation goes through the universal approximation and decomposition
-rather than the minimal approximation, and complexes are decomposed and
+rather than the minimal approximation, complexes are decomposed and
 compared as modules over the triangular matrix algebra rather than by
-idempotents of their chain-map rings, and the stable pairs come from
-filtering the whole silting walk rather than from the walk over stable
-nodes.
+Fitting splits of their chain-map rings, modules are split by idempotents
+from a factorised minimal polynomial (sympy) rather than by Fitting's
+lemma, and the stable pairs come from filtering the whole silting walk
+rather than from the walk over stable nodes.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from tautilt.errors import (
 from tautilt.modules import (
     Rep,
     RepMap,
+    _is_local,
     are_isomorphic,
     decompose,
     direct_sum,
@@ -447,6 +449,106 @@ def triangular_isomorphic(p, q) -> bool:
     if sorted(p.deg1) != sorted(q.deg1) or sorted(p.deg0) != sorted(q.deg0):
         return False
     return are_isomorphic(complex_to_module(p), complex_to_module(q))
+
+
+# -- idempotent splitter -----------------------------------------------------------
+
+
+def _min_poly_coeffs(blocks: dict, field) -> list:
+    """Monic minimal polynomial of a per-vertex family of square matrices,
+    lowest degree first."""
+    p = field.p
+    flat0 = np.concatenate([field.identity(b.shape[0]).ravel()
+                            for b in blocks.values()])
+    power = np.concatenate([b.ravel() for b in blocks.values()])
+    cur = {v: b.copy() for v, b in blocks.items()}
+    stack = [flat0]
+    while True:
+        sol = field.solve_left(np.array(stack, dtype=np.int64), power)
+        if sol is not None:
+            return [(-int(c)) % p for c in sol] + [1]
+        stack.append(power)
+        cur = {v: field.matmul(cur[v], blocks[v]) for v in blocks}
+        power = np.concatenate([b.ravel() for b in cur.values()])
+        if len(stack) > flat0.size + 2:
+            raise AssertionError("minimal polynomial search did not terminate")
+
+
+def _poly_eval(coeffs: list, blocks: dict, field) -> dict:
+    """Evaluate a polynomial (lowest degree first) at a per-vertex family."""
+    out = {}
+    for v, b in blocks.items():
+        acc = field.zeros(b.shape[0], b.shape[0])
+        for c in reversed(coeffs):
+            acc = (field.matmul(acc, b)
+                   + int(c) % field.p * field.identity(b.shape[0])) % field.p
+        out[v] = acc
+    return out
+
+
+def idempotent_of(u: dict, field) -> dict | None:
+    """A nontrivial idempotent that is a polynomial in the block family u,
+    or None.  Factors the minimal polynomial of u; coprime factors give an
+    exact idempotent via the extended Euclidean algorithm."""
+    import sympy
+
+    p = field.p
+    blocks = {v: b for v, b in u.items() if b.shape[0] > 0}
+    if not blocks:
+        return None
+    coeffs = _min_poly_coeffs(blocks, field)
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(coeffs)), x, modulus=p)
+    _, factors = poly.factor_list()
+    if len(factors) < 2:
+        return None
+    factors = sorted(factors, key=lambda fm: (fm[0].degree(), str(fm[0])))
+    f1 = factors[0][0] ** factors[0][1]
+    f2 = sympy.Poly(1, x, modulus=p)
+    for fac, mult in factors[1:]:
+        f2 = f2 * fac ** mult
+    _, t, h = f1.gcdex(f2)
+    if h.degree() != 0:
+        raise AssertionError("complementary factors are not coprime")
+    # on ker f1(u) the combination t*f2 acts as 1, on ker f2(u) as 0
+    hinv = field.inv_scalar(int(h.all_coeffs()[-1]))
+    pcoeffs = [int(c) * hinv % p for c in reversed((t * f2).all_coeffs())]
+    eps = _poly_eval(pcoeffs, u, field)
+    ranks = sum(field.rank(b) for b in eps.values())
+    if ranks == 0 or ranks == sum(b.shape[0] for b in eps.values()):
+        return None
+    for b in eps.values():
+        if (field.matmul(b, b) != b).any():
+            raise AssertionError("idempotent construction failed")
+    return eps
+
+
+def idempotent_decompose(m: Rep, rng=None) -> list:
+    """Indecomposable summands of m, with repetition: the images of
+    complementary idempotents (e, 1 - e) of End(m), split again in turn.
+    Each basis element of End(m) is tried, then random combinations."""
+    if m.is_zero():
+        return []
+    rng = np.random.default_rng(0) if rng is None else rng
+    field = m.algebra.field
+    p = field.p
+    ends = [f.blocks for f in hom_basis(m, m)]
+    if _is_local(ends, field):
+        return [m]
+    candidates = list(ends)
+    for _ in range(200):
+        for u in candidates:
+            eps = idempotent_of(u, field)
+            if eps is not None:
+                rest = {v: (field.identity(b.shape[0]) - b) % p
+                        for v, b in eps.items()}
+                return [part for e in (eps, rest)
+                        for part in idempotent_decompose(sub_rep(m, e)[0],
+                                                         rng)]
+        coeffs = rng.integers(0, p, size=len(ends))
+        candidates = [{v: sum(int(c) * f[v] % p for c, f in zip(coeffs, ends))
+                       % p for v in ends[0]}]
+    raise AssertionError("no splitting idempotent found")
 
 
 # -- mutation oracle --------------------------------------------------------------

@@ -350,14 +350,15 @@ def test_stdout_matches_golden(capsys, data_dir, argv, golden):
     assert out.encode() == (data_dir / "golden" / golden).read_bytes()
 
 
-def _assert_runs_without_sympy(argv):
-    """main(argv) exits 0 in a fresh process that never imports sympy."""
+def _assert_runs_without_sympy(argv, code=0):
+    """main(argv) exits with code in a fresh process where importing
+    sympy fails."""
     script = ("import contextlib, io, sys\n"
+              "sys.modules['sympy'] = None\n"
               "from tautilt.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    code = main({argv!r})\n"
-              "assert code == 0, code\n"
-              "assert 'sympy' not in sys.modules\n")
+              f"assert code == {code}, code\n")
     src = pathlib.Path(__file__).parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -368,8 +369,7 @@ def _assert_runs_without_sympy(argv):
 
 
 def test_walk_runs_without_sympy(data_dir):
-    # minimal approximations leave no decomposition on the walk, and sympy
-    # is only imported to split decomposable modules
+    # the package imports sympy nowhere
     _assert_runs_without_sympy(["enumerate", str(data_dir / "nakayama6.alg"),
                                 "--filter", "nu-stable"])
 
@@ -467,7 +467,8 @@ def test_check_modules_in_order_of_first_appearance(capsys, data_dir):
 
 
 def test_check_and_report_run_without_sympy(data_dir):
-    # every term of a golden pair is indecomposable, so nothing splits
+    # every term of a golden pair is indecomposable, so nothing splits;
+    # the two rep literals split, S(1) + S(1) and S(1) + S(3)
     entry = json.loads((data_dir / "nakayama6_nu_stable_golden.json")
                        .read_text())["entries"][0]
     _assert_runs_without_sympy(
@@ -476,6 +477,23 @@ def test_check_and_report_run_without_sympy(data_dir):
          "--require", "support-tau-tilting,nu-stable"])
     _assert_runs_without_sympy(["report-2cy",
                                 str(data_dir / "nakayama4.alg")])
+    _assert_runs_without_sympy(["check", str(data_dir / "nakayama4.alg"),
+                                "rep{ dims=[2,0,0,0]; }"], code=1)
+    _assert_runs_without_sympy(["phi", str(data_dir / "preproj_a3.alg"),
+                                "rep{ dims=[1,0,1]; }", "--pverts", "2"])
+
+
+def test_residue_field_larger_than_the_prime_is_an_input_error(capsys,
+                                                               data_dir):
+    # End is F_p[x]/(x^2 - 2), a field of p^2 elements: 2 is not a square
+    # mod 32003, so the module is indecomposable but fails the local test
+    code, out, err = run(capsys, "check", str(data_dir / "kronecker.alg"),
+                         "rep{ dims = [2,2]; arrow a = [[1,0],[0,1]]; "
+                         "arrow b = [[0,1],[2,0]]; }")
+    assert code == 2
+    assert out == ""
+    assert "dimension vector [2, 2]" in err
+    assert "residue field larger than F_32003" in err
 
 
 def test_projectives_survive_check_and_enumerate(capsys, monkeypatch,

@@ -7,9 +7,11 @@ the multisets below exhaust all such modules up to isomorphism."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import nextprime
 
 from tautilt.field import PrimeField
 from tautilt.modules import (
+    _fitting_rows,
     _pairing_matrix,
     are_isomorphic,
     decompose,
@@ -24,14 +26,17 @@ from tautilt.modules import (
     projective,
     quotient_rep,
     radical,
+    same_summands,
     simple,
     socle_rows,
     sub_rep,
     submodule_generated,
+    summand_rows,
     syzygy,
     top,
     zero_module,
 )
+from tautilt.textio import parse_algebra_text, parse_module_expr
 
 import oracles
 from oracles import extract_iso
@@ -274,3 +279,65 @@ def test_pairing_matrix_matches_the_loop(p, dims, nf, ng, seed):
     got = _pairing_matrix(fs, gs, field)
     assert got.shape == (nf, ng)
     assert (got == oracles.loop_pairing_matrix(fs, gs, field)).all()
+
+
+def _splitting_cases(alg, rng) -> list:
+    """Decomposable modules: semisimple rep literals, P(v) + P(v) for every
+    vertex (on preproj_a3, End(P(2)) has a radical), the decomposable
+    members of a corpus with random extensions, and sums of two corpus
+    members."""
+    n = alg.num_vertices
+    mods = [parse_module_expr(alg, f"rep{{ dims = {dims}; }}")
+            for dims in ([2] + [0] * (n - 1), [1] * n, [1, 2] + [1] * (n - 2))]
+    mods += [parse_module_expr(alg, f"P({v})+P({v})") for v in range(1, n + 1)]
+    count = len(oracles.uniserial_quotients(alg)) + 3
+    corpus = oracles.module_corpus(alg, rng, count=count)
+    mods += [m for m in corpus if len(decompose(m)) > 1]
+    for _ in range(4):
+        i, j = rng.choice(len(corpus), size=2)
+        mods.append(direct_sum(alg, [corpus[i], corpus[j]])[0])
+    return mods
+
+
+def _assert_complementary_submodules(m, split, p):
+    for v, d in m.dims.items():
+        rows = [list(r) for half in split for r in half[v]]
+        assert len(rows) == d and oracles.gauss_rank(rows, p) == d
+    for half in split:
+        assert any(len(r) for r in half.values())
+        for a in m.algebra.quiver.arrows:
+            moved = (half[a.source].astype(object)
+                     @ m.maps[a.name].astype(object)) % p
+            inside = [list(r) for r in half[a.target]]
+            assert oracles.gauss_rank(inside + [list(r) for r in moved],
+                                      p) == len(inside)
+
+
+@pytest.mark.parametrize("prime", ["smallest", "default", "largest"])
+@pytest.mark.parametrize("name", ["nakayama4", "preproj_a3", "N(6,4)"])
+def test_fitting_split_matches_idempotent_split(algebras, data_dir, name,
+                                                prime):
+    # the reference splits by idempotents from a factorised minimal
+    # polynomial; both must find the same summands, and each Fitting split,
+    # by a basis endomorphism or a random combination with a nilpotent
+    # part, must be two nonzero complementary submodules
+    text = (algebras.nakayama(6, 4) if name == "N(6,4)"
+            else (data_dir / f"{name}.alg").read_text())
+    dim = parse_algebra_text(text).dim
+    p = {"smallest": nextprime(4 * dim ** 2), "default": 32003,
+         "largest": oracles.largest_exact_prime(dim)}[prime]
+    alg = parse_algebra_text(text, p)
+    rng = np.random.default_rng(7)
+    for m in _splitting_cases(alg, rng):
+        assert same_summands(decompose(m), oracles.idempotent_decompose(m))
+        ends = [f.blocks for f in hom_basis(m, m)]
+        assert summand_rows(ends, alg.field, rng) is not None
+        for _ in range(3):
+            coeffs = rng.integers(0, p, size=len(ends))
+            ends.append({v: sum(int(c) * f[v] % p
+                                for c, f in zip(coeffs, ends)) % p
+                         for v in ends[0]})
+        for u in ends:
+            split = _fitting_rows(u, alg.field)
+            if split is not None:
+                _assert_complementary_submodules(m, split, p)

@@ -1,11 +1,14 @@
 """Tooling outside the package that breaks silently when the package
-changes: the benchmark tracer wraps functions by name, and the demos call
-the public API and assert their own claims."""
+changes: the benchmark tracer wraps functions by name, the demos call
+the public API and assert their own claims, and numpy stays the only
+runtime dependency."""
 
+import ast
 import importlib
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,6 +16,26 @@ import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def test_package_does_not_import_sympy():
+    for path in sorted((ROOT / "src" / "tautilt").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "sympy" for n in names), path
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group()
+             for dep in project["dependencies"]]
+    assert names == ["numpy"]
 
 
 def test_traced_names_resolve():
