@@ -13,6 +13,9 @@ Elements are coordinate row vectors over the path basis.  The basis always
 contains every trivial path and every arrow, because relations live in the
 square of the arrow ideal so Gaussian elimination only ever pivots on
 longer words.
+
+The opposite algebra is this one relabelled by reversing every word, so
+an element has the same coordinates over both.
 """
 
 from __future__ import annotations
@@ -171,7 +174,17 @@ def _quotient_level(quiver, rels, field, level):
         rr, piv = field.rref(np.array(rows, dtype=np.int64))
     else:
         rr, piv = field.zeros(0, len(words)), []
-    return words, index, rr, piv
+    return words, rr, piv
+
+
+def _basis_and_canon(words, rr, piv, field) -> tuple:
+    """The basis (the non-pivot words) and canon for build_algebra."""
+    pivset = set(piv)
+    y = field.identity(len(words))
+    for i, c in enumerate(piv):
+        y[c] = (y[c] - rr[i]) % field.p
+    nonpiv = [i for i in range(len(words)) if i not in pivset]
+    return [words[i] for i in nonpiv], y[:, nonpiv].copy()
 
 
 def build_algebra(quiver: Quiver, relations, field: PrimeField | None = None,
@@ -186,14 +199,14 @@ def build_algebra(quiver: Quiver, relations, field: PrimeField | None = None,
     rels = _normalise_relations(quiver, relations, field)
     prev = None
     for level in range(2, nilpotency_cap + 2):
-        words, index, rr, piv = _quotient_level(quiver, rels, field, level)
+        words, rr, piv = _quotient_level(quiver, rels, field, level)
         dim = len(words) - len(piv)
         if prev is not None and prev[0] == dim:
-            _, pwords, pindex, prr, ppiv, plevel = prev
+            _, pwords, prr, ppiv, plevel = prev
             return BoundQuiverAlgebra(
-                quiver, relations, field, plevel, pwords, pindex, prr, ppiv
-            )
-        prev = (dim, words, index, rr, piv, level)
+                quiver, relations, field, plevel, pwords,
+                *_basis_and_canon(pwords, prr, ppiv, field))
+        prev = (dim, words, rr, piv, level)
     raise NonAdmissibleError(
         f"quotient dimension still growing at path length {nilpotency_cap}; "
         "the relations do not bound the algebra"
@@ -204,28 +217,24 @@ class BoundQuiverAlgebra:
     """Finite-dimensional quotient of a path algebra, with a fixed path
     basis, structure constants, and the opposite algebra on demand.
 
-    Built by build_algebra, not directly.
+    Built by build_algebra or opposite(), not directly; canon takes the
+    coordinates of words, every word below the truncation level, to basis
+    coordinates.
     """
 
-    def __init__(self, quiver, relations, field, level, words, index, rr, piv):
+    def __init__(self, quiver, relations, field, level, words, basis_words,
+                 canon, mult_table=None):
         self.quiver = quiver
         self.relations = list(relations)
         self.field = field
         self.level = level
         self._words = words
-        self._word_index = index
-        pivset = set(piv)
-        self.basis_words = [w for i, w in enumerate(words) if i not in pivset]
+        self._word_index = {w: i for i, w in enumerate(words)}
+        self.basis_words = basis_words
         self.dim = len(self.basis_words)
         field.check_trace_bound(self.dim)
         field.check_exact(self.dim)
-
-        # canon: full word coordinates -> basis coordinates
-        y = field.identity(len(words))
-        for i, c in enumerate(piv):
-            y[c] = (y[c] - rr[i]) % field.p
-        nonpiv = [i for i in range(len(words)) if i not in pivset]
-        self._canon = y[:, nonpiv].copy()
+        self._canon = canon
 
         self._sources = np.array([w[0] for w in self.basis_words], dtype=np.int64)
         self._targets = np.array(
@@ -241,9 +250,9 @@ class BoundQuiverAlgebra:
             key = (int(self._sources[k]), int(self._targets[k]))
             self._slices.setdefault(key, []).append(k)
 
-        self.mult_table = self._build_table()
+        self.mult_table = (self._build_table() if mult_table is None
+                           else mult_table)
         self._opposite = None
-        self._op_matrix = None
         self._cache = {}
 
     def _build_table(self) -> np.ndarray:
@@ -286,9 +295,13 @@ class BoundQuiverAlgebra:
         x[self._trivial[v]] = 1
         return x
 
+    def arrow_position(self, name: str) -> int:
+        """Basis index of an arrow."""
+        return self._arrow_pos[self.quiver.arrow_index(name)]
+
     def arrow_element(self, name: str) -> np.ndarray:
         x = self.zero()
-        x[self._arrow_pos[self.quiver.arrow_index(name)]] = 1
+        x[self.arrow_position(name)] = 1
         return x
 
     def element_from_path(self, names) -> np.ndarray:
@@ -385,14 +398,6 @@ class BoundQuiverAlgebra:
         out[rows] = self.field.matmul(values, right[cols])
         return out.reshape(r, d, c).transpose(0, 2, 1)
 
-    def right_mult_matrix(self, x: np.ndarray, rows, cols) -> np.ndarray:
-        """Matrix of (basis word b -> b * x) from span(rows) to span(cols)."""
-        x = self.field.reduce(x)
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        sub = self.mult_table[rows][:, :, cols]
-        return np.einsum("j,rjc->rc", x, sub) % self.field.p
-
     def left_mult_matrix(self, x: np.ndarray, rows, cols) -> np.ndarray:
         """Matrix of (basis word b -> x * b) from span(rows) to span(cols)."""
         x = self.field.reduce(x)
@@ -446,44 +451,30 @@ class BoundQuiverAlgebra:
     # -- opposite algebra -------------------------------------------------
 
     def opposite(self) -> "BoundQuiverAlgebra":
-        """The opposite algebra, presented on the reversed quiver.  Cached
-        and cross-linked so op of op is the original object."""
+        """The opposite algebra on the reversed quiver, whose basis is this
+        basis with every word reversed, in the same order: reversal maps
+        the relations' ideal onto the reversed relations' ideal, so the
+        anti-isomorphism is the identity on coordinates and the structure
+        constants are these with the factors swapped.  Cached and
+        cross-linked so op of op is the original object."""
         if self._opposite is None:
             rq = Quiver(self.quiver.num_vertices,
                         [Arrow(a.name, a.target, a.source) for a in self.quiver.arrows])
-            rrels = []
-            for rel in self.relations:
-                if isinstance(rel, RadicalPower):
-                    rrels.append(rel)
-                else:
-                    rrels.append(Relation(tuple(
-                        (c, tuple(reversed(path))) for c, path in rel.terms
-                    )))
-            op = build_algebra(rq, rrels, self.field)
-            if op.dim != self.dim or op.level != self.level:
-                raise AssertionError("opposite algebra dimensions disagree")
+            rrels = [rel if isinstance(rel, RadicalPower) else Relation(tuple(
+                (c, tuple(reversed(path))) for c, path in rel.terms))
+                for rel in self.relations]
+
+            def rev(w):
+                return _word_target(self.quiver, w), tuple(reversed(w[1]))
+
+            op = BoundQuiverAlgebra(
+                rq, rrels, self.field, self.level,
+                [rev(w) for w in self._words],
+                [rev(w) for w in self.basis_words], self._canon,
+                np.ascontiguousarray(self.mult_table.transpose(1, 0, 2)))
             op._opposite = self
             self._opposite = op
         return self._opposite
-
-    def op_matrix(self) -> np.ndarray:
-        """Row k is the opposite-basis coordinate vector of the reversal of
-        basis word k; right-multiplying by it is the anti-isomorphism."""
-        if self._op_matrix is None:
-            op = self.opposite()
-            m = self.field.zeros(self.dim, self.dim)
-            for k, (src, arrows) in enumerate(self.basis_words):
-                rev = (int(self._targets[k]), tuple(reversed(arrows)))
-                m[k] = op._canon[op._word_index[rev]]
-            self._op_matrix = m
-        return self._op_matrix
-
-    def op_element(self, x: np.ndarray) -> np.ndarray:
-        """The anti-isomorphism applied to an element, or to every entry of
-        an array of elements of shape (..., dim)."""
-        x = self.field.reduce(x)
-        return self.field.matmul(x.reshape(-1, self.dim),
-                                 self.op_matrix()).reshape(x.shape)
 
     # -- formatting -------------------------------------------------------
 

@@ -38,7 +38,6 @@ from .pairs import (
 )
 from .textio import (
     algebra_json,
-    canonical_complex_string,
     complex_json,
     module_expr_string,
     parse_algebra_file,
@@ -228,7 +227,8 @@ def cmd_enumerate(args) -> int:
             "tilting": tilting,
         }
         entries.append(((x.total_dim, x.dim_vector(),
-                         canonical_complex_string(c)), entry))
+                         json.dumps(entry["complex"], separators=(",", ":"),
+                                    sort_keys=True)), entry))
     entries.sort(key=lambda pe: pe[0])
     doc = {
         "algebra": algebra_json(algebra),
@@ -279,6 +279,7 @@ def _add_common(sub, enumerating: bool):
                               "output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tautilt",

@@ -103,7 +103,8 @@ class PrimeField:
 
         Returns (r, pivots) where pivots lists the pivot column of each
         nonzero row of r, in order.  A matrix with a zero side or a single
-        row needs no elimination loop.
+        row needs no elimination loop, and a pivot alone in its column
+        needs no update of the other rows.
         """
         a = self.reduce(a)  # a fresh array, safe to work on in place
         rows, cols = a.shape
@@ -130,7 +131,8 @@ class PrimeField:
             a[r] = (a[r] * self.inv_scalar(a[r, c])) % self.p
             col = a[:, c].copy()
             col[r] = 0
-            a = (a - np.outer(col, a[r])) % self.p
+            if col.any():
+                a = (a - np.outer(col, a[r])) % self.p
             pivots.append(c)
             r += 1
         return a, pivots

@@ -100,16 +100,6 @@ class Rep:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def word_action(self, basis_index: int) -> np.ndarray:
-        """Matrix of the right action of a basis path, from its source
-        vertex space to its target vertex space."""
-        src, arrows = self.algebra.basis_words[basis_index]
-        field = self.algebra.field
-        m = field.identity(self.dims[src])
-        for ai in arrows:
-            m = field.matmul(m, self.maps[self.algebra.quiver.arrows[ai].name])
-        return m
-
     def __repr__(self):
         return f"Rep(dim_vector={self.dim_vector()})"
 
@@ -193,11 +183,10 @@ def projective(algebra, v: int) -> Rep:
                 for u in range(1, algebra.num_vertices + 1)}
         maps = {}
         for a in algebra.quiver.arrows:
-            maps[a.name] = algebra.right_mult_matrix(
-                algebra.arrow_element(a.name),
+            # word b from v to a.source goes to b * a: a gather of the table
+            maps[a.name] = algebra.mult_table[
                 algebra.slice_indices(v, a.source),
-                algebra.slice_indices(v, a.target),
-            )
+                algebra.arrow_position(a.name)][:, algebra.slice_indices(v, a.target)]
         rep = Rep(algebra, dims, maps, check=False)
         for m in rep.maps.values():
             m.flags.writeable = False
@@ -476,20 +465,32 @@ def top_generators(m: Rep) -> list:
 
 
 def projective_cover(m: Rep) -> tuple:
-    """(cover rep, surjection cover -> m, list of cover vertices)."""
+    """(cover rep, surjection cover -> m, list of cover vertices): the
+    summand at a top generator g sends each basis path w to g * w, one
+    product per path for all generators at its source (_push)."""
     alg = m.algebra
     field = alg.field
     gens = top_generators(m)
     verts = [v for v, _ in gens]
     cover, offsets = projective_sum(alg, verts)
     blocks = {u: field.zeros(cover.dims[u], m.dims[u]) for u in m.dims}
-    for i, (v, g) in enumerate(gens):
+    for v in sorted(set(verts)):
+        idx = [i for i, u in enumerate(verts) if u == v]
+        pushed = {(): np.array([gens[i][1] for i in idx])}
         for u in m.dims:
-            sl = alg.slice_indices(v, u)
-            for k, w in enumerate(sl):
-                row = field.matmul(g.reshape(1, -1), m.word_action(w))[0]
-                blocks[u][offsets[i][u] + k] = row
+            for k, w in enumerate(alg.slice_indices(v, u)):
+                blocks[u][[offsets[i][u] + k for i in idx]] = _push(
+                    m, pushed, alg.basis_words[w][1])
     return cover, RepMap(cover, m, blocks), verts
+
+
+def _push(m: Rep, pushed: dict, arrows: tuple) -> np.ndarray:
+    """The rows pushed[()] moved along the arrows, memoised by prefix."""
+    if arrows not in pushed:
+        a = m.algebra.quiver.arrows[arrows[-1]]
+        pushed[arrows] = m.algebra.field.matmul(
+            _push(m, pushed, arrows[:-1]), m.maps[a.name])
+    return pushed[arrows]
 
 
 def projective_sum(algebra, verts: list) -> tuple:
@@ -519,13 +520,21 @@ def minimal_presentation(m: Rep) -> tuple:
 
     Returns (deg1_verts, deg0_verts, e) where e has shape
     (len(deg0), len(deg1), dim) and entry (r, c) is the component from the
-    c-th degree -1 summand to the r-th degree 0 summand.
+    c-th degree -1 summand to the r-th degree 0 summand.  Column c is the
+    c-th top generator g of the syzygy pushed into the cover: g * incl,
+    read on the r-th summand, is e[r, c] on the paths from deg0[r].
     """
+    alg = m.algebra
     ker, incl, _, verts0 = syzygy(m)
-    _, kcover, verts1 = projective_cover(ker)
-    comp = kcover.compose(incl)
-    e = repmap_to_elements(comp, verts1, verts0)
-    return verts1, verts0, e
+    gens = top_generators(ker)
+    toff = projective_sum(alg, verts0)[1]
+    e = np.zeros((len(verts0), len(gens), alg.dim), dtype=np.int64)
+    for c, (v, g) in enumerate(gens):
+        row = alg.field.matmul(g, incl.blocks[v])
+        for r, tv in enumerate(verts0):
+            seg = alg.slice_indices(tv, v)
+            e[r, c, seg] = row[toff[r][v]:toff[r][v] + len(seg)]
+    return [v for v, _ in gens], verts0, e
 
 
 def repmap_to_elements(f: RepMap, src_verts: list, tgt_verts: list) -> np.ndarray:

@@ -43,14 +43,12 @@ from .modules import (
     _indec_iso,
     direct_sum,
     injective,
-    kernel,
+    minimal_presentation,
     projective,
-    projective_cover,
     quotient_rep,
     simple,
     submodule_generated,
     top,
-    top_generators,
     zero_module,
 )
 
@@ -399,15 +397,9 @@ def module_expr_string(m: Rep) -> str:
                 return f"{name}({v})"
     t, _ = top(m)
     if t.total_dim == 1:
-        v = next(u for u in t.dims if t.dims[u] == 1)
-        cover, cmap, verts = projective_cover(m)
-        ker, incl = kernel(cmap)
-        exprs = []
-        for w, row in top_generators(ker):
-            vec = algebra.zero()
-            coords = algebra.field.matmul(row.reshape(1, -1), incl.blocks[w])[0]
-            vec[algebra.slice_indices(v, w)] = coords
-            exprs.append(algebra.format_element(vec))
+        # the relations of P(v) are the columns of the presentation
+        _, (v,), e = minimal_presentation(m)
+        exprs = [algebra.format_element(x) for x in e[0]]
         return f"P({v})/<{', '.join(exprs)}>"
     dims = [m.dims[v] for v in range(1, algebra.num_vertices + 1)]
     stmts = [f"dims = {dims}"]

@@ -2,10 +2,10 @@
 
 The transpose of a module with minimal presentation P1 -> P0 is the
 cokernel of the induced map Hom(P0, A) -> Hom(P1, A) of right modules over
-the opposite algebra; Hom(e_i A, A) is e_i A-op on the path basis, so the
-induced map is realised by the opposite-transposed element matrix.  The
-translate is the dual of the transpose and the inverse translate is the
-transpose of the dual.
+the opposite algebra; Hom(e_i A, A) is e_i A-op on the path basis, and
+the opposite algebra has the same coordinates as A, so the induced map is
+realised by the transposed element matrix.  The translate is the dual of
+the transpose and the inverse translate is the transpose of the dual.
 
 A basic algebra is selfinjective exactly when it is Frobenius, and one
 linear form then gives everything the Nakayama functor needs
@@ -37,12 +37,6 @@ from .modules import (
 )
 
 
-def _op_transposed(algebra, e: np.ndarray) -> np.ndarray:
-    """Opposite element matrix of an element matrix: transpose the shape
-    and apply the anti-isomorphism entrywise."""
-    return algebra.op_element(e).transpose(1, 0, 2)
-
-
 def cokernel(f) -> Rep:
     rows = {v: f.blocks[v] for v in f.blocks}
     quo, _ = quotient_rep(f.tgt, rows)
@@ -58,7 +52,7 @@ def _transpose_of(alg, presentation) -> Rep:
     """Transpose of the module with the given minimal presentation."""
     verts1, verts0, e = presentation
     induced = elements_to_repmap(alg.opposite(), verts0, verts1,
-                                 _op_transposed(alg, e))
+                                 e.transpose(1, 0, 2))
     return cokernel(induced)
 
 
@@ -85,9 +79,10 @@ def _frobenius_data(algebra):
     key, sigma = [], {}
     for i in range(1, algebra.num_vertices + 1):
         rows = algebra.paths_from(i)
-        # the right socle of e_i A: the elements every arrow kills
-        soc = field.left_kernel_basis(
-            algebra.mult_table[np.ix_(rows, arrows)].reshape(len(rows), -1))
+        # the right socle of e_i A: the elements every arrow kills (zero
+        # columns of the system constrain nothing)
+        system = algebra.mult_table[np.ix_(rows, arrows)].reshape(len(rows), -1)
+        soc = field.left_kernel_basis(system[:, system.any(axis=0)])
         if len(soc) != 1:
             return (f"P({i}) has a socle of dimension {len(soc)}, so the "
                     "algebra is not selfinjective")

@@ -11,15 +11,24 @@ rather than the minimal approximation, complexes are decomposed and
 compared as modules over the triangular matrix algebra rather than by
 Fitting splits of their chain-map rings, modules are split by idempotents
 from a factorised minimal polynomial (sympy) rather than by Fitting's
-lemma, and the stable pairs come from filtering the whole silting walk
-rather than from the walk over stable nodes.
+lemma, the stable pairs come from filtering the whole silting walk
+rather than from the walk over stable nodes, the opposite algebra is
+built again from the reversed relations rather than relabelled, and
+minimal presentations come from a second projective cover rather than
+from the syzygy's top.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from tautilt.algebra import Arrow, Quiver, Relation, build_algebra
+from tautilt.algebra import (
+    Arrow,
+    Quiver,
+    RadicalPower,
+    Relation,
+    build_algebra,
+)
 from tautilt.complexes import TwoTermComplex
 from tautilt.errors import (
     FieldTooSmallError,
@@ -680,8 +689,8 @@ def nakayama_oracle(algebra):
         i, j = algebra.source_of(k), algebra.target_of(k)
         x = algebra.zero()
         x[k] = 1
-        op_map = elements_to_repmap(op, [i], [j],
-                                    algebra.op_element(x).reshape(1, 1, -1))
+        # the opposite algebra shares the coordinates of the algebra
+        op_map = elements_to_repmap(op, [i], [j], x.reshape(1, 1, -1))
         nu_map = RepMap(dual(op_map.tgt), dual(op_map.src),
                         {v: b.T.copy() for v, b in op_map.blocks.items()})
         conj = phis[j].inverse().compose(nu_map).compose(phis[i])
@@ -698,6 +707,42 @@ def nu_module_oracle(m: Rep, perm: dict, nu: np.ndarray) -> Rep:
     induced = elements_to_repmap(alg, [perm[v] for v in verts1],
                                  [perm[v] for v in verts0], moved)
     return quotient_rep(induced.tgt, induced.blocks)[0]
+
+
+# -- the opposite algebra and minimal presentations ---------------------------------
+
+
+def reference_opposite(algebra) -> tuple:
+    """(op, op_matrix): the opposite algebra built again from the reversed
+    quiver and relations, with its own basis, and the matrix whose row k
+    is the op-basis coordinate vector of the reversal of basis word k, so
+    that right-multiplying by it is the anti-isomorphism."""
+    q = algebra.quiver
+    rq = Quiver(q.num_vertices,
+                [Arrow(a.name, a.target, a.source) for a in q.arrows])
+    rrels = [rel if isinstance(rel, RadicalPower) else Relation(tuple(
+        (c, tuple(reversed(path))) for c, path in rel.terms))
+        for rel in algebra.relations]
+    op = build_algebra(rq, rrels, algebra.field)
+    assert op.dim == algebra.dim and op.level == algebra.level
+    m = algebra.field.zeros(algebra.dim, algebra.dim)
+    for k, (src, arrows) in enumerate(algebra.basis_words):
+        if not arrows:
+            m[k, op.trivial_index(src)] = 1
+        else:
+            m[k] = op.element_from_path(
+                [q.arrows[a].name for a in reversed(arrows)])
+    return op, m
+
+
+def reference_presentation(m: Rep) -> tuple:
+    """Minimal projective presentation (deg1_verts, deg0_verts, e) through
+    a second projective cover: the cover of the syzygy composed with its
+    inclusion into the first cover, read off as an element matrix."""
+    ker, incl, _, verts0 = syzygy(m)
+    _, kcover, verts1 = projective_cover(ker)
+    e = repmap_to_elements(kcover.compose(incl), verts1, verts0)
+    return verts1, verts0, e
 
 
 # -- translate oracles ------------------------------------------------------------

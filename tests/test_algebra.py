@@ -13,7 +13,7 @@ from tautilt.errors import (
     PrimeTooLargeError,
 )
 from tautilt.field import PrimeField
-from tautilt.textio import parse_algebra_file
+from tautilt.textio import parse_algebra_file, parse_algebra_text
 
 import oracles
 from conftest import DATA
@@ -73,19 +73,55 @@ def test_opposite_involution(nak6):
     op = nak6.opposite()
     assert op.dim == nak6.dim
     assert op.opposite() is nak6
-    # the anti-isomorphism reverses products
+    # the anti-isomorphism reverses products; over the relabelled opposite
+    # it is the identity on coordinates, over the reference it is op_matrix
     a1 = nak6.arrow_element("a1")
     a2 = nak6.arrow_element("a2")
-    lhs = nak6.op_element(nak6.multiply(a1, a2))
-    rhs = op.multiply(nak6.op_element(a2), nak6.op_element(a1))
+    assert (nak6.multiply(a1, a2) == op.multiply(a2, a1)).all()
+    ref, op_matrix = oracles.reference_opposite(nak6)
+    lhs = nak6.field.matmul(nak6.multiply(a1, a2), op_matrix)
+    rhs = ref.multiply(nak6.field.matmul(a2, op_matrix),
+                       nak6.field.matmul(a1, op_matrix))
     assert (lhs == rhs).all()
 
 
 def test_op_element_is_linear_involution(nak4, rng):
-    op = nak4.opposite()
+    # the reference anti-isomorphism, applied twice, is the identity
+    ref, op_matrix = oracles.reference_opposite(nak4)
+    back_alg, back = oracles.reference_opposite(ref)
+    assert back_alg.basis_words == nak4.basis_words
     x = rng.integers(0, nak4.field.p, size=nak4.dim)
-    back = op.op_element(nak4.op_element(x))
-    assert (back == x % nak4.field.p).all()
+    once = nak4.field.matmul(x, op_matrix)
+    assert (nak4.field.matmul(once, back) == x % nak4.field.p).all()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.alg"))
+                         + ["pa4", "N(6,6)"])
+def test_relabelled_opposite_matches_reference(name, algebras):
+    # the relabelled structure constants, transported to the reference's
+    # basis by its op_matrix, are the reference's structure constants
+    if name == "pa4":
+        alg = parse_algebra_text(algebras.preprojective(4))
+    elif name == "N(6,6)":
+        alg = parse_algebra_text(algebras.nakayama(6, 6))
+    else:
+        alg = parse_algebra_file(str(DATA / name))
+    op = alg.opposite()
+    ref, m = oracles.reference_opposite(alg)
+    p = alg.field.p
+    assert op.opposite() is alg
+    assert op.basis_words == [
+        (alg.target_of(k), tuple(reversed(w[1])))
+        for k, w in enumerate(alg.basis_words)]
+    ref_table = np.einsum("ka,abm->kbm", m, ref.mult_table) % p
+    ref_table = np.einsum("lb,kbm->klm", m, ref_table) % p
+    assert (np.einsum("klc,cm->klm", op.mult_table, m) % p
+            == ref_table).all()
+    for k, (src, arrows) in enumerate(alg.basis_words):
+        if arrows:
+            names = [alg.quiver.arrows[a].name for a in arrows]
+            assert (op.element_from_path(names[::-1])
+                    == alg.element_from_path(names)).all()
 
 
 def test_slice_indices_partition(prep3):

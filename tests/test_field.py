@@ -175,3 +175,59 @@ def test_prime_size_bounds():
     field.check_exact(12)
     with pytest.raises(PrimeTooLargeError):
         field.check_exact(13)
+
+
+def _scaled_permutation(n, rng):
+    perm = rng.permutation(n)
+    a = np.zeros((n, n), dtype=np.int64)
+    a[np.arange(n), perm] = rng.integers(1, 97, size=n)
+    return a
+
+
+def _block_monomial(sizes, rng):
+    # a permutation of dense invertible blocks: most pivots are alone in
+    # their column, the rest share it with their block
+    blocks = []
+    for k in sizes:
+        while True:
+            b = rng.integers(0, 97, size=(k, k))
+            if F.rank(b) == k:
+                break
+        blocks.append(b)
+    n = sum(sizes)
+    a = np.zeros((n, n), dtype=np.int64)
+    starts = np.cumsum([0] + list(sizes))
+    order = rng.permutation(len(sizes))
+    col = 0
+    for i in order:
+        r0, k = starts[i], sizes[i]
+        a[r0:r0 + k, col:col + k] = blocks[i]
+        col += k
+    return a
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eliminations_with_lone_pivots(seed):
+    # rref skips the update of the other rows when a pivot is alone in its
+    # column; rref, solve_right and inverse must still be right, checked
+    # by their products
+    rng = np.random.default_rng(seed)
+    n = 2 + seed
+    for a in (_scaled_permutation(n, rng),
+              _block_monomial([1, 2, 1, 3][:1 + seed % 4], rng)):
+        k = a.shape[0]
+        r, piv = F.rref(a)
+        want, want_piv = oracles.gauss_rref(a.tolist(), k, 97)
+        assert r.tolist() == want and piv == want_piv == list(range(k))
+        inv = F.inverse(a)
+        assert (F.matmul(a, inv) == F.identity(k)).all()
+        assert (F.matmul(inv, a) == F.identity(k)).all()
+        b = rng.integers(0, 97, size=(k, 3))
+        x = F.solve_right(a, b)
+        assert (F.matmul(a, x) == b).all()
+        # a wide system with a dependent column: a lone pivot next to a
+        # non-pivot column
+        wide = np.hstack([a, a[:, :1] * 5 % 97])
+        assert F.rank(wide) == k
+        xw = F.solve_right(wide, b)
+        assert (F.matmul(wide, xw) == b).all()

@@ -23,6 +23,7 @@ from tautilt.modules import (
     hom_dim,
     injective,
     is_indecomposable,
+    minimal_presentation,
     projective,
     quotient_rep,
     radical,
@@ -341,3 +342,26 @@ def test_fitting_split_matches_idempotent_split(algebras, data_dir, name,
             split = _fitting_rows(u, alg.field)
             if split is not None:
                 _assert_complementary_submodules(m, split, p)
+
+
+@pytest.mark.parametrize("name", ["nakayama4", "preproj_a3", "N(6,4)", "pa4"])
+def test_presentation_from_syzygy_top_matches_reference(algebras, data_dir,
+                                                        name):
+    # the presentation read from the syzygy's top generators is the one a
+    # second projective cover gives, vertex lists and element matrix alike,
+    # on corpus modules and on their duals over the opposite algebra
+    if name == "pa4":
+        text = algebras.preprojective(4)
+    elif name == "N(6,4)":
+        text = algebras.nakayama(6, 4)
+    else:
+        text = (data_dir / f"{name}.alg").read_text()
+    alg = parse_algebra_text(text)
+    rng = np.random.default_rng(11)
+    corpus = oracles.module_corpus(alg, rng, count=16)
+    for m in corpus + [dual(x) for x in corpus]:
+        got = minimal_presentation(m)
+        want = oracles.reference_presentation(m)
+        assert got[0] == want[0] and got[1] == want[1]
+        assert got[2].shape == want[2].shape
+        assert (got[2] == want[2]).all()
