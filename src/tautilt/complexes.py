@@ -15,20 +15,23 @@ routine, eliminate_units, strips contractible summands both from two-term
 complexes and from the three-term cones that mutation builds.
 
 Minimal complexes are homotopy equivalent exactly when they are
-isomorphic on the nose.  A complex is decomposed by Fitting splits of
-elements of its ring of chain maps End_C(c), not taken modulo homotopy,
-acting on the per-vertex blocks of c^{-1} and c^0 (decompose_complex); the
-splitter is the one that decomposes modules.  An indecomposable minimal complex with
-a local endomorphism ring, such as every item of the enumeration's
-registry and every summand that decompose_complex returns, is compared
-with another complex by the top-trace pairing (isomorphic_by_top_trace):
-one product of the top actions of the chain maps each way.  Complexes
-that may decompose are compared summand class by summand class
-(complexes_isomorphic).
+isomorphic on the nose.  A minimal complex c, one whose differential lies
+in the radical, is the minimal presentation of its cokernel H^0(c) plus
+shifted stalks P(v)[1]: c^0 is the projective cover of H^0(c).  So c is
+decomposed by splitting the module H^0(c) (modules.decompose) and
+presenting each summand (decompose_complex), and two minimal complexes
+are isomorphic exactly when their vertex lists agree and their cokernels
+are isomorphic (complexes_isomorphic).  Both reject a complex that is not
+minimal.  An indecomposable minimal complex with a local endomorphism
+ring, such as every item of the enumeration's registry and every summand
+that decompose_complex returns, is compared with another complex by the
+top-trace pairing (isomorphic_by_top_trace): one product of the top
+actions of the chain maps each way.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -38,15 +41,12 @@ from .modules import (
     Rep,
     RepMap,
     _pairing_matrix,
+    are_isomorphic,
+    decompose,
     elements_to_repmap,
     iso_classes,
     minimal_presentation,
-    projective_cover,
     quotient_rep,
-    repmap_to_elements,
-    same_summands,
-    sub_rep,
-    summand_rows,
 )
 from .translate import nu_element, selfinjective_data
 
@@ -323,60 +323,50 @@ def minimalize(c: TwoTermComplex) -> TwoTermComplex:
     return TwoTermComplex(c.algebra, deg1, deg0, d, check=False)
 
 
-# -- decomposition by chain-map Fitting splits -------------------------------
+# -- decomposition through the cokernel --------------------------------------
 
 
-def _chain_map_blocks(c: TwoTermComplex) -> list:
-    """A basis of End_C(c), the chain maps from c to itself not taken
-    modulo homotopy, each as the per-vertex blocks of its two components
-    on the projective modules c^{-1} and c^0, keyed (-1, v) and (0, v)."""
+def _require_minimal(c: TwoTermComplex) -> None:
+    """Raise ValueError when some entry of the differential between equal
+    vertices is a unit, that is, when c has a contractible summand."""
     alg = c.algebra
-    f1, f0, maps, _ = _chain_map_data(c, c)
-    out = []
-    for vec in maps:
-        g1 = elements_to_repmap(alg, list(c.deg1), list(c.deg1),
-                                f1.unflatten(vec[:f1.total]))
-        g0 = elements_to_repmap(alg, list(c.deg0), list(c.deg0),
-                                f0.unflatten(vec[f1.total:]))
-        out.append({**{(-1, v): b for v, b in g1.blocks.items()},
-                    **{(0, v): b for v, b in g0.blocks.items()}})
-    return out
+    for r, tv in enumerate(c.deg0):
+        for k, sv in enumerate(c.deg1):
+            if tv == sv and alg.is_local_unit(c.d[r, k], tv):
+                raise ValueError(
+                    f"entry ({r}, {k}) of the differential is a unit, so the "
+                    "complex is not minimal: strip its contractible summands "
+                    "with minimalize first")
 
 
-def _image_complex(c: TwoTermComplex, rows: dict) -> TwoTermComplex:
-    """The summand of c that rows span on c^{-1} and c^0, keyed like the
-    blocks of _chain_map_blocks, with the restricted differential,
-    re-coordinatised onto the path basis through projective covers."""
-    field = c.algebra.field
-    f = c.expand()
-    s1, i1 = sub_rep(f.src, {v: rows[-1, v] for v in f.src.dims})
-    s0, i0 = sub_rep(f.tgt, {v: rows[0, v] for v in f.tgt.dims})
-    restricted = RepMap(s1, s0, {
-        v: field.solve_left(i0.blocks[v], field.matmul(i1.blocks[v], b))
-        for v, b in f.blocks.items()})
-    _, cm1, verts1 = projective_cover(s1)
-    _, cm0, verts0 = projective_cover(s0)
-    if not (cm1.is_iso() and cm0.is_iso()):
-        raise AssertionError("a summand of a complex has a non-projective term")
-    comp = cm1.compose(restricted).compose(cm0.inverse())
-    return TwoTermComplex(c.algebra, verts1, verts0,
-                          repmap_to_elements(comp, verts1, verts0),
-                          check=False)
+def _split_through_h0(c: TwoTermComplex, rng=None) -> tuple:
+    """(parts, presentations, stalks) for a minimal complex c: the
+    indecomposable summands of H^0(c) with repetition (modules.decompose),
+    the minimal presentation of each, and the vertices v of the shifted
+    stalks P(v)[1] that c has besides.  As the differential of c lies in
+    the radical, c^0 is the projective cover of H^0(c), so c is the sum
+    of the presentations and the stalks, and the stalk vertices are what
+    the presentations leave of c.deg1."""
+    _require_minimal(c)
+    parts = decompose(c.h0(), rng)
+    presentations = [presentation_complex(m) for m in parts]
+    stalks = Counter(c.deg1)
+    stalks.subtract(v for x in presentations for v in x.deg1)
+    if any(k < 0 for k in stalks.values()):
+        raise AssertionError(
+            "the presentations of the cokernel's summands outgrow the "
+            "complex in degree -1")
+    return parts, presentations, sorted(stalks.elements())
 
 
 def decompose_complex(c: TwoTermComplex, rng=None) -> list:
-    """Indecomposable direct summands, with repetition: the two halves of
-    a Fitting split of c by an element of End_C(c), split again in turn.
-    The splitter is the one modules.decompose uses."""
-    if c.is_zero():
-        return []
-    if rng is None:
-        rng = np.random.default_rng(0)
-    split = summand_rows(_chain_map_blocks(c), c.algebra.field, rng)
-    if split is None:
-        return [c]
-    return [part for rows in split
-            for part in decompose_complex(_image_complex(c, rows), rng)]
+    """Indecomposable direct summands of a minimal complex, with
+    repetition: the minimal presentations of the summands of its cokernel,
+    then its shifted stalks (_split_through_h0).  Raises ValueError when c
+    is not minimal."""
+    _, presentations, stalks = _split_through_h0(c, rng)
+    return presentations + [projective_stalk(c.algebra, [v], shifted=True)
+                            for v in stalks]
 
 
 def isomorphic_by_top_trace(x: TwoTermComplex, y: TwoTermComplex) -> bool:
@@ -391,13 +381,16 @@ def isomorphic_by_top_trace(x: TwoTermComplex, y: TwoTermComplex) -> bool:
     N = |x.deg1| + |x.deg0|.  N is nonzero in F_p: a stalk has N = 1, and
     otherwise the rank-one test of mutation.require_local, which x passed
     or which the complex it is a Nakayama image of passed, fails when p
-    divides N.  A summand x that decompose_complex returned passed the
-    splitter's rank-one trace test on End_C(x) instead, so End_C(x) is
-    local with residue field F_p, and so is End_K(x), its quotient by the
-    null-homotopic maps, which is nonzero as x is minimal.  That test, like
-    every trace certificate of the package, is exact only while the
-    dimension D of x^{-1} + x^0 over the ground field is below p, and
-    1 <= N <= D, so N is nonzero in F_p there too.
+    divides N.  A summand x that decompose_complex returned is a stalk, or
+    the minimal presentation of a module M that passed the splitter's
+    rank-one trace test on End(M), so End(M) is local with residue field
+    F_p.  H^0 maps End_K(x) onto End(M), as it is full on presentations,
+    and a chain map that H^0 sends to an automorphism is one, since
+    x^0 -> M and x^{-1} -> im d are projective covers.  So the kernel lies
+    in the radical, and End_K(x) is local with residue field F_p too.
+    That test, like every trace certificate of the package, is exact only
+    while the dimension of M is below p, and N is nonzero in F_p while the
+    dimension D of x^{-1} + x^0 is below p, as 1 <= N <= D.
 
     So the pairing is nonzero at some g f exactly when some g f is a unit,
     that is, when x is a direct summand of y.  The pairing is bilinear, so
@@ -428,14 +421,15 @@ def summand_classes(c: TwoTermComplex, rng=None) -> list:
 
 def complexes_isomorphic(p: TwoTermComplex, q: TwoTermComplex) -> bool:
     """Isomorphism in the homotopy category.  Both inputs must be minimal,
-    which enumeration and minimalize guarantee; minimal complexes are
-    homotopy equivalent exactly when they are isomorphic, that is, when
-    they have the same vertex lists and the same summands up to the
-    top-trace pairing."""
+    which enumeration and minimalize guarantee, or ValueError is raised.
+    A minimal complex is the presentation of its cokernel plus shifted
+    stalks (_split_through_h0), so two of them are isomorphic exactly when
+    they have the same vertex lists and isomorphic cokernels."""
+    _require_minimal(p)
+    _require_minimal(q)
     if sorted(p.deg1) != sorted(q.deg1) or sorted(p.deg0) != sorted(q.deg0):
         return False
-    return same_summands(decompose_complex(p), decompose_complex(q),
-                         isomorphic_by_top_trace)
+    return are_isomorphic(p.h0(), q.h0())
 
 
 # -- the Nakayama functor on complexes ----------------------------------------

@@ -17,10 +17,10 @@ A block with a zero side is never eliminated: loops over vertices and
 arrows skip zero vertex spaces, and Hom systems have unknowns only where
 both modules are nonzero.
 
-Modules, and two-term complexes through the same splitter, are
-decomposed by Fitting's lemma: an endomorphism u of an object of finite
-length splits it as ker u^N + im u^N (summand_rows).  No polynomial is
-factorised.
+Modules are decomposed by Fitting's lemma: an endomorphism u of a module
+of finite length splits it as ker u^N + im u^N (summand_rows).  No
+polynomial is factorised.  Two-term complexes are decomposed through
+their cokernels (complexes.decompose_complex).
 """
 
 from __future__ import annotations
@@ -537,34 +537,11 @@ def minimal_presentation(m: Rep) -> tuple:
     return [v for v, _ in gens], verts0, e
 
 
-def repmap_to_elements(f: RepMap, src_verts: list, tgt_verts: list) -> np.ndarray:
-    """Element matrix of a map between projective sums on the path basis.
-
-    The result has shape (len(tgt_verts), len(src_verts), dim); entry (r, c)
-    lies in e_{tgt[r]} A e_{src[c]} and acts by left multiplication.
-    """
-    alg = f.src.algebra
-    field = alg.field
-    soff = projective_sum(alg, src_verts)[1]
-    toff = projective_sum(alg, tgt_verts)[1]
-    out = np.zeros((len(tgt_verts), len(src_verts), alg.dim), dtype=np.int64)
-    for c, sv in enumerate(src_verts):
-        sl = alg.slice_indices(sv, sv)
-        gen_pos = soff[c][sv] + sl.index(alg.trivial_index(sv))
-        row = f.blocks[sv][gen_pos]
-        for r, tv in enumerate(tgt_verts):
-            seg = alg.slice_indices(tv, sv)
-            vec = field.zeros(1, alg.dim)[0]
-            for k, w in enumerate(seg):
-                vec[w] = row[toff[r][sv] + k]
-            out[r, c] = vec
-    return out
-
-
 def elements_to_repmap(algebra, src_verts: list, tgt_verts: list,
                        e: np.ndarray) -> RepMap:
-    """Inverse of repmap_to_elements: realise an element matrix as a map of
-    projective sums on the path basis."""
+    """Realise an element matrix as a map of projective sums on the path
+    basis: entry (r, c) acts by left multiplication from the c-th source
+    summand to the r-th target summand."""
     field = algebra.field
     src, soff = projective_sum(algebra, src_verts)
     tgt, toff = projective_sum(algebra, tgt_verts)
@@ -629,13 +606,12 @@ def _fitting_rows(u: dict, field) -> tuple | None:
 
 
 def summand_rows(ends: list, field, rng) -> tuple | None:
-    """Two complementary nonzero summands of an object, as rows spanning
+    """Two complementary nonzero summands of a module, as rows spanning
     them per vertex, or None when its endomorphism ring is local
-    (_is_local).  ends is a basis of the endomorphisms of the object, each
-    a family of blocks keyed by vertex: a module map, or the per-vertex
-    blocks of a chain map on both degrees of a complex.  Each basis element
-    is tried for a Fitting split (_fitting_rows), then random combinations
-    of them."""
+    (_is_local).  ends is a basis of the endomorphisms of the module, each
+    as the blocks of the map keyed by vertex.  Each basis element is tried
+    for a Fitting split (_fitting_rows), then random combinations of
+    them."""
     if _is_local(ends, field):
         return None
     p = field.p

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from .complexes import (
     TwoTermComplex,
-    decompose_complex,
+    _split_through_h0,
     is_two_term_silting,
     minimalize,
     presentation_complex,
@@ -65,6 +65,7 @@ from .modules import (
     iso_classes,
     minimal_presentation,
     regular,
+    same_summands,
     syzygy,
     zero_module,
 )
@@ -198,15 +199,8 @@ class SummandTables:
         modules; images of a class list under tau, tau_minus or the
         Nakayama functor do, since each is injective on the isomorphism
         classes it does not kill."""
-        ys = list(ys)
-        if len(xs) != len(ys):
-            return False
-        for a, k in xs:
-            hit = next((i for i, (b, _) in enumerate(ys) if self.iso(a, b)),
-                       None)
-            if hit is None or ys.pop(hit)[1] != k:
-                return False
-        return True
+        return same_summands([a for a, k in xs for _ in range(k)],
+                             [b for b, k in ys for _ in range(k)], self.iso)
 
     def tau_rigid(self, classes) -> bool:
         return self.hom_vanishes(classes,
@@ -345,27 +339,12 @@ def pair_to_complex(pair: STPair) -> TwoTermComplex:
 
 
 def complex_to_pair(c: TwoTermComplex, rng=None) -> STPair:
-    """Split off the shifted-stalk part, take the cokernel of the rest."""
+    """The summand classes of the cokernel of a silting complex, and the
+    vertices of its shifted stalks (complexes._split_through_h0)."""
     if not is_two_term_silting(c, rng):
         raise NotSiltingError("transport to a pair needs a silting complex")
-    return _complex_to_pair_unchecked(minimalize(c), rng)
-
-
-def _complex_to_pair_unchecked(c: TwoTermComplex, rng=None) -> STPair:
-    pverts = []
-    mods = []
-    for s in decompose_complex(c, rng):
-        if not s.deg0:
-            if len(s.deg1) != 1:
-                raise AssertionError("decomposable shifted stalk returned")
-            pverts.append(s.deg1[0])
-        else:
-            m = s.h0()
-            if m.is_zero():
-                raise AssertionError(
-                    "a minimal non-stalk summand has zero cokernel")
-            mods.append(m)
-    kept, _ = iso_classes(mods)
+    parts, _, pverts = _split_through_h0(minimalize(c), rng)
+    kept, _ = iso_classes(parts)
     return make_pair(c.algebra, kept, pverts)
 
 

@@ -23,7 +23,6 @@ generated by listed elements), sums with ``+``, or an explicit
 from __future__ import annotations
 
 import ast
-import json
 import re
 
 import numpy as np
@@ -432,18 +431,6 @@ def complex_json(c) -> dict:
         "m0": multiplicity_vector(c.deg0, alg.num_vertices),
         "differential": [[alg.format_element(c.d[r, col])
                           for col in cols] for r in rows],
-    }
-
-
-def canonical_complex_string(c) -> str:
-    body = complex_json(c)
-    return json.dumps(body, separators=(",", ":"), sort_keys=True)
-
-
-def pair_json(pair) -> dict:
-    return {
-        "modules": [module_expr_string(m) for m in pair.modules],
-        "projective_vertices": sorted(pair.pverts),
     }
 
 

@@ -38,6 +38,11 @@ def a2():
 
 
 @pytest.fixture(scope="session")
+def kronecker():
+    return load("kronecker.alg")
+
+
+@pytest.fixture(scope="session")
 def one_vertex():
     return load("one_vertex.alg")
 

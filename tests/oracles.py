@@ -8,8 +8,8 @@ from any enumeration walk, complex homs build every operator from the
 full multiplication table on each call rather than reading kept tables,
 mutation goes through the universal approximation and decomposition
 rather than the minimal approximation, complexes are decomposed and
-compared as modules over the triangular matrix algebra rather than by
-Fitting splits of their chain-map rings, modules are split by idempotents
+compared as modules over the triangular matrix algebra rather than
+through their cokernels, modules are split by idempotents
 from a factorised minimal polynomial (sympy) rather than by Fitting's
 lemma, the stable pairs come from filtering the whole silting walk
 rather than from the walk over stable nodes, the opposite algebra is
@@ -49,9 +49,9 @@ from tautilt.modules import (
     minimal_presentation,
     projective,
     projective_cover,
+    projective_sum,
     quotient_rep,
     radical_rows,
-    repmap_to_elements,
     simple,
     sub_rep,
     submodule_generated,
@@ -353,6 +353,33 @@ def percall_element_matmul(alg, a, b) -> np.ndarray:
     left = percall_left_table(alg, a).transpose(0, 3, 1, 2).reshape(r * d, k * d)
     right = alg.field.reduce(b).transpose(0, 2, 1).reshape(k * d, c)
     return alg.field.matmul(left, right).reshape(r, d, c).transpose(0, 2, 1)
+
+
+# -- element matrices of maps between projective sums ---------------------------
+
+
+def repmap_to_elements(f: RepMap, src_verts: list, tgt_verts: list) -> np.ndarray:
+    """Element matrix of a map between projective sums on the path basis.
+
+    The result has shape (len(tgt_verts), len(src_verts), dim); entry (r, c)
+    lies in e_{tgt[r]} A e_{src[c]} and acts by left multiplication.
+    """
+    alg = f.src.algebra
+    field = alg.field
+    soff = projective_sum(alg, src_verts)[1]
+    toff = projective_sum(alg, tgt_verts)[1]
+    out = np.zeros((len(tgt_verts), len(src_verts), alg.dim), dtype=np.int64)
+    for c, sv in enumerate(src_verts):
+        sl = alg.slice_indices(sv, sv)
+        gen_pos = soff[c][sv] + sl.index(alg.trivial_index(sv))
+        row = f.blocks[sv][gen_pos]
+        for r, tv in enumerate(tgt_verts):
+            seg = alg.slice_indices(tv, sv)
+            vec = field.zeros(1, alg.dim)[0]
+            for k, w in enumerate(seg):
+                vec[w] = row[toff[r][sv] + k]
+            out[r, c] = vec
+    return out
 
 
 # -- the triangular route for complexes ------------------------------------------

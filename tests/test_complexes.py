@@ -19,8 +19,18 @@ from tautilt.complexes import (
     sum_complexes,
     summand_classes,
 )
-from tautilt.modules import are_isomorphic, direct_sum, projective, simple
+from tautilt.modules import (
+    are_isomorphic,
+    direct_sum,
+    projective,
+    same_summands,
+    simple,
+)
+from tautilt.mutation import g_vector_key
+from tautilt.textio import parse_element
 from tautilt.translate import nakayama_permutation, nu_module
+
+import oracles
 
 
 def _pres(alg, *verts):
@@ -127,6 +137,39 @@ def test_summand_classes_count(nak4):
     assert len(summand_classes(c)) == 2
     parts = decompose_complex(c)
     assert len(parts) == 3
+
+
+def test_decomposition_rejects_non_minimal_complexes(kronecker):
+    # a contractible P(2) -> P(2) beside the presentation of S(1) has the
+    # cokernel S(1), so splitting the cokernel would call its degree -1
+    # copy of P(2) a shifted stalk
+    base = presentation_complex(simple(kronecker, 1))
+    junk = TwoTermComplex(kronecker, [2], [2],
+                          kronecker.trivial_path(2).reshape(1, 1, -1))
+    fat = sum_complexes([base, junk])
+    with pytest.raises(ValueError, match="minimalize"):
+        decompose_complex(fat)
+    with pytest.raises(ValueError, match="minimalize"):
+        complexes_isomorphic(fat, fat)
+    got = decompose_complex(minimalize(fat))
+    want = decompose_complex(base)
+    assert sorted(map(g_vector_key, got)) == sorted(map(g_vector_key, want))
+    assert same_summands(got, want, complexes_isomorphic)
+
+
+def test_complex_iso_with_equal_vertex_lists(kronecker):
+    # P(2) -> P(1) given by a combination of the two arrows: the cokernels
+    # are the two-dimensional modules, isomorphic exactly when the
+    # combinations are proportional
+    def arrow_complex(text):
+        d = parse_element(kronecker, text).reshape(1, 1, -1)
+        return TwoTermComplex(kronecker, [2], [1], d)
+
+    for x, y, want in [("a", "b", False), ("a", "2*a", True),
+                       ("a+b", "a-b", False)]:
+        p, q = arrow_complex(x), arrow_complex(y)
+        assert complexes_isomorphic(p, q) == want, (x, y)
+        assert oracles.triangular_isomorphic(p, q) == want, (x, y)
 
 
 def test_nu_complex_transports_presentations(nak6):

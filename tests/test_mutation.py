@@ -266,9 +266,9 @@ def test_top_trace_pairing_matches_triangular_route(recorded):
 
 @pytest.mark.parametrize("name", ["a2", "nak4", "prep3", "pa4"])
 def test_decomposition_matches_triangular_route(recorded, name):
-    # on every node complex, and on one node doubled, the chain-map
-    # idempotents split off the summands whose g-vectors the registry
-    # holds for the node, and each is isomorphic, as a module over the
+    # on every node complex, and on one node doubled, the split through
+    # the cokernel gives the summands whose g-vectors the registry holds
+    # for the node, and each is isomorphic, as a module over the
     # triangular algebra, to a summand the triangular route splits off
     run = recorded[name][0]
     items = run.registry.items

@@ -7,10 +7,8 @@ import pytest
 from tautilt.errors import ParseError
 from tautilt.modules import are_isomorphic, direct_sum, projective, simple
 from tautilt.textio import (
-    canonical_complex_string,
     complex_json,
     module_expr_string,
-    pair_json,
     parse_algebra_text,
     parse_element,
     parse_module_expr,
@@ -130,14 +128,3 @@ def test_complex_json_and_canonical_string(nak4):
     assert j["m1"] == [0, 1, 0, 0]
     assert j["m0"] == [1, 0, 0, 0]
     assert j["differential"] == [["a1"]]
-    assert canonical_complex_string(c) == canonical_complex_string(
-        presentation_complex(simple(nak4, 1)))
-
-
-def test_pair_json_shape(nak6):
-    from tautilt.pairs import make_pair
-
-    pair = make_pair(nak6, [simple(nak6, 3)], [1, 2, 4, 5, 6])
-    j = pair_json(pair)
-    assert j["modules"] == ["S(3)"]
-    assert j["projective_vertices"] == [1, 2, 4, 5, 6]
