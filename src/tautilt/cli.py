@@ -35,6 +35,7 @@ from .pairs import (
     make_pair,
     pair_to_complex,
     summand_flags,
+    two_cy_obstruction_report,
 )
 from .textio import (
     algebra_json,
@@ -240,8 +241,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_report_2cy(args) -> int:
-    from .pairs import two_cy_obstruction_report
-
     algebra = parse_algebra_file(args.algebra, args.field_p)
     report = two_cy_obstruction_report(algebra, args.cap)
     doc = {

@@ -21,12 +21,16 @@ shifted stalks P(v)[1]: c^0 is the projective cover of H^0(c).  So c is
 decomposed by splitting the module H^0(c) (modules.decompose) and
 presenting each summand (decompose_complex), and two minimal complexes
 are isomorphic exactly when their vertex lists agree and their cokernels
-are isomorphic (complexes_isomorphic).  Both reject a complex that is not
-minimal.  An indecomposable minimal complex with a local endomorphism
-ring, such as every item of the enumeration's registry and every summand
-that decompose_complex returns, is compared with another complex by the
-top-trace pairing (isomorphic_by_top_trace): one product of the top
-actions of the chain maps each way.
+are isomorphic (complexes_isomorphic).  Minimal presentations of modules
+are isomorphic exactly when the modules are, so the summand classes of c
+are the classes of the summands of H^0(c) (modules.iso_classes), plus
+one class per stalk vertex (summand_classes).  The silting test,
+transport to a pair and mutation all read the classes of one such split
+(silting_classes).  All of these reject a complex that is not minimal.
+An item of the enumeration's registry, whose endomorphism ring is local,
+is compared with another complex by the top-trace pairing
+(isomorphic_by_top_trace): one product of the top actions of the chain
+maps each way.
 """
 
 from __future__ import annotations
@@ -339,7 +343,7 @@ def _require_minimal(c: TwoTermComplex) -> None:
                     "with minimalize first")
 
 
-def _split_through_h0(c: TwoTermComplex, rng=None) -> tuple:
+def _split_through_h0(c: TwoTermComplex) -> tuple:
     """(parts, presentations, stalks) for a minimal complex c: the
     indecomposable summands of H^0(c) with repetition (modules.decompose),
     the minimal presentation of each, and the vertices v of the shifted
@@ -348,7 +352,7 @@ def _split_through_h0(c: TwoTermComplex, rng=None) -> tuple:
     of the presentations and the stalks, and the stalk vertices are what
     the presentations leave of c.deg1."""
     _require_minimal(c)
-    parts = decompose(c.h0(), rng)
+    parts = decompose(c.h0())
     presentations = [presentation_complex(m) for m in parts]
     stalks = Counter(c.deg1)
     stalks.subtract(v for x in presentations for v in x.deg1)
@@ -359,12 +363,12 @@ def _split_through_h0(c: TwoTermComplex, rng=None) -> tuple:
     return parts, presentations, sorted(stalks.elements())
 
 
-def decompose_complex(c: TwoTermComplex, rng=None) -> list:
+def decompose_complex(c: TwoTermComplex) -> list:
     """Indecomposable direct summands of a minimal complex, with
     repetition: the minimal presentations of the summands of its cokernel,
     then its shifted stalks (_split_through_h0).  Raises ValueError when c
     is not minimal."""
-    _, presentations, stalks = _split_through_h0(c, rng)
+    _, presentations, stalks = _split_through_h0(c)
     return presentations + [projective_stalk(c.algebra, [v], shifted=True)
                             for v in stalks]
 
@@ -378,19 +382,11 @@ def isomorphic_by_top_trace(x: TwoTermComplex, y: TwoTermComplex) -> bool:
 
     Why this is exact.  T is a ring homomorphism on End_K(x) and sends the
     radical to nilpotent matrices, so tr T(l 1 + r) = l N with
-    N = |x.deg1| + |x.deg0|.  N is nonzero in F_p: a stalk has N = 1, and
-    otherwise the rank-one test of mutation.require_local, which x passed
-    or which the complex it is a Nakayama image of passed, fails when p
-    divides N.  A summand x that decompose_complex returned is a stalk, or
-    the minimal presentation of a module M that passed the splitter's
-    rank-one trace test on End(M), so End(M) is local with residue field
-    F_p.  H^0 maps End_K(x) onto End(M), as it is full on presentations,
-    and a chain map that H^0 sends to an automorphism is one, since
-    x^0 -> M and x^{-1} -> im d are projective covers.  So the kernel lies
-    in the radical, and End_K(x) is local with residue field F_p too.
-    That test, like every trace certificate of the package, is exact only
-    while the dimension of M is below p, and N is nonzero in F_p while the
-    dimension D of x^{-1} + x^0 is below p, as 1 <= N <= D.
+    N = |x.deg1| + |x.deg0|.  For x an item of the enumeration's registry
+    (mutation.ComplexRegistry), N is nonzero in F_p: a stalk has N = 1,
+    and otherwise the rank-one test of mutation.require_local, which x
+    passed or which the complex it is a Nakayama image of passed, fails
+    when p divides N.
 
     So the pairing is nonzero at some g f exactly when some g f is a unit,
     that is, when x is a direct summand of y.  The pairing is bilinear, so
@@ -410,13 +406,25 @@ def isomorphic_by_top_trace(x: TwoTermComplex, y: TwoTermComplex) -> bool:
     return bool(_pairing_matrix(fs, gs, alg.field).any())
 
 
-def summand_classes(c: TwoTermComplex, rng=None) -> list:
+def _classes(c: TwoTermComplex) -> list:
+    """(cokernel, summand, multiplicity) per isomorphism class of the
+    indecomposable summands of a minimal complex c, from one split of
+    H^0(c) (_split_through_h0): the classes of the cokernel's summands in
+    the order of their first appearance, each with the presentation of its
+    first member, then one class per stalk vertex in vertex order, with
+    cokernel None."""
+    parts, presentations, stalks = _split_through_h0(c)
+    modules, mults = iso_classes(parts)
+    out = [(m, presentations[parts.index(m)], k)
+           for m, k in zip(modules, mults)]
+    return out + [(None, projective_stalk(c.algebra, [v], shifted=True), k)
+                  for v, k in sorted(Counter(stalks).items())]
+
+
+def summand_classes(c: TwoTermComplex) -> list:
     """Indecomposable summands of a minimal complex grouped up to
-    isomorphism by the top-trace pairing: a list of (representative,
-    multiplicity)."""
-    classes, mults = iso_classes(decompose_complex(c, rng),
-                                 isomorphic_by_top_trace)
-    return list(zip(classes, mults))
+    isomorphism, as a list of (representative, multiplicity) (_classes)."""
+    return [(x, k) for _, x, k in _classes(c)]
 
 
 def complexes_isomorphic(p: TwoTermComplex, q: TwoTermComplex) -> bool:
@@ -452,20 +460,27 @@ def is_two_term_presilting(c: TwoTermComplex) -> bool:
     return hom_dim(c, c, 1) == 0
 
 
-def is_two_term_silting(c: TwoTermComplex, rng=None) -> bool:
-    """Presilting with as many indecomposable summand classes as the
-    algebra has vertices.  Classes are counted on the minimal form so that
-    contractible summands never inflate the count."""
+def silting_classes(c: TwoTermComplex) -> list | None:
+    """The summand classes of minimalize(c), as (cokernel, summand,
+    multiplicity) (_classes), when c is two-term silting: presilting with
+    as many classes as the algebra has vertices.  None otherwise.  Classes
+    are counted on the minimal form so that contractible summands never
+    inflate the count."""
     if not is_two_term_presilting(c):
-        return False
-    return len(summand_classes(minimalize(c), rng)) == c.algebra.num_vertices
+        return None
+    classes = _classes(minimalize(c))
+    return classes if len(classes) == c.algebra.num_vertices else None
 
 
-def is_two_term_tilting(c: TwoTermComplex, rng=None) -> bool:
+def is_two_term_silting(c: TwoTermComplex) -> bool:
+    return silting_classes(c) is not None
+
+
+def is_two_term_tilting(c: TwoTermComplex) -> bool:
     """Silting with no negative self-maps.  Over a selfinjective algebra
     this must agree with invariance under the Nakayama functor; the two
     routes are both computed and a mismatch is a hard error."""
-    if not is_two_term_silting(c, rng):
+    if not is_two_term_silting(c):
         return False
     answer = hom_dim(c, c, -1) == 0
     try:

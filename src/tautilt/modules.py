@@ -631,20 +631,24 @@ def summand_rows(ends: list, field, rng) -> tuple | None:
     )
 
 
-def decompose(m: Rep, rng=None) -> list:
+def decompose(m: Rep) -> list:
     """Indecomposable summands of m, with repetition, as a list of Rep: the
     two halves of a Fitting split of m by an element of End(m)
-    (summand_rows), split again in turn."""
-    if m.is_zero():
-        return []
-    if rng is None:
-        rng = np.random.default_rng(0)
-    split = summand_rows([f.blocks for f in hom_basis(m, m)],
-                         m.algebra.field, rng)
-    if split is None:
-        return [m]
-    return [part for rows in split
-            for part in decompose(sub_rep(m, rows)[0], rng)]
+    (summand_rows), split again in turn.  The random combinations come
+    from one generator seeded at 0 per call, so the result is
+    deterministic."""
+    field = m.algebra.field
+    rng = np.random.default_rng(0)
+
+    def split(x: Rep) -> list:
+        if x.is_zero():
+            return []
+        rows = summand_rows([f.blocks for f in hom_basis(x, x)], field, rng)
+        if rows is None:
+            return [x]
+        return [part for r in rows for part in split(sub_rep(x, r)[0])]
+
+    return split(m)
 
 
 def _indec_iso(m: Rep, n: Rep) -> bool:
@@ -661,13 +665,13 @@ def _indec_iso(m: Rep, n: Rep) -> bool:
                            m.algebra.field).any()
 
 
-def iso_classes(parts: list, iso=_indec_iso) -> tuple:
-    """(classes, multiplicities) of a list of indecomposables, with the
-    classes in the order of their first appearance; iso tests two of them
-    for isomorphism."""
+def iso_classes(parts: list) -> tuple:
+    """(classes, multiplicities) of a list of indecomposable modules, with
+    the classes in the order of their first appearance."""
     classes, mults = [], []
     for part in parts:
-        hit = next((k for k, c in enumerate(classes) if iso(part, c)), None)
+        hit = next((k for k, c in enumerate(classes) if _indec_iso(part, c)),
+                   None)
         if hit is None:
             classes.append(part)
             mults.append(1)
@@ -691,31 +695,15 @@ def same_summands(parts_m: list, parts_n: list, iso=_indec_iso) -> bool:
     return True
 
 
-def are_isomorphic(m: Rep, n: Rep, rng=None) -> bool:
+def are_isomorphic(m: Rep, n: Rep) -> bool:
     if m.dim_vector() != n.dim_vector():
         return False
     if m.is_zero():
         return True
-    return same_summands(decompose(m, rng), decompose(n, rng))
+    return same_summands(decompose(m), decompose(n))
 
 
-# -- ext groups and extensions ----------------------------------------------
-
-
-def ext1_dim(m: Rep, n: Rep) -> int:
-    """dim Ext^1(m, n), via maps out of the syzygy modulo those extending
-    to the projective cover."""
-    ker, incl, _, _ = syzygy(m)
-    target = hom_basis(ker, n)
-    if not target:
-        return 0
-    cover_maps = hom_basis(incl.tgt, n)
-    if not cover_maps:
-        return len(target)
-    field = m.algebra.field
-    restricted = np.array([incl.compose(h).flatten() for h in cover_maps],
-                          dtype=np.int64)
-    return len(target) - field.rank(restricted)
+# -- generated quotients ----------------------------------------------------
 
 
 def fac_contains(m: Rep, x: Rep) -> bool:
@@ -733,46 +721,3 @@ def fac_contains(m: Rep, x: Rep) -> bool:
         if field.rank(stacked) < x.dims[v]:
             return False
     return True
-
-
-def random_extension(m: Rep, n: Rep, rng=None) -> tuple:
-    """A module e with a short exact sequence 0 -> n -> e -> m -> 0, built
-    from a random cocycle.  Returns (e, inclusion, projection)."""
-    alg = _check_same(m, n)
-    field = alg.field
-    if rng is None:
-        rng = np.random.default_rng(0)
-    ker, incl, cmap, _ = syzygy(m)
-    fs = hom_basis(ker, n)
-    if fs:
-        coeffs = rng.integers(0, field.p, size=len(fs))
-        phi = {v: sum(int(c) * f.blocks[v] % field.p
-                   for c, f in zip(coeffs, fs)) % field.p
-               for v in ker.dims}
-    else:
-        phi = {v: field.zeros(ker.dims[v], n.dims[v]) for v in ker.dims}
-    cover = incl.tgt
-    total, offs = direct_sum(alg, [n, cover])
-    rows = {}
-    for v in total.dims:
-        r = field.zeros(ker.dims[v], total.dims[v])
-        r[:, offs[0][v]:offs[0][v] + n.dims[v]] = phi[v]
-        r[:, offs[1][v]:offs[1][v] + cover.dims[v]] = (-incl.blocks[v]) % field.p
-        rows[v] = r
-    e, proj = quotient_rep(total, rows)
-    inc_blocks = {}
-    for v in total.dims:
-        b = field.zeros(n.dims[v], total.dims[v])
-        b[:, offs[0][v]:offs[0][v] + n.dims[v]] = field.identity(n.dims[v])
-        inc_blocks[v] = field.matmul(b, proj.blocks[v])
-    inclusion = RepMap(n, e, inc_blocks)
-    h_blocks = {}
-    for v in total.dims:
-        h = field.zeros(total.dims[v], m.dims[v])
-        h[offs[1][v]:offs[1][v] + cover.dims[v]] = cmap.blocks[v]
-        x = field.solve_right(proj.blocks[v], h)
-        if x is None:
-            raise AssertionError("extension projection failed to factor")
-        h_blocks[v] = x
-    projection = RepMap(e, m, h_blocks)
-    return e, inclusion, projection

@@ -58,8 +58,8 @@ from .complexes import (
     isomorphic_by_top_trace,
     nu_complex,
     projective_stalk,
+    silting_classes,
     sum_complexes,
-    summand_classes,
     top_action,
     top_trace,
 )
@@ -269,14 +269,14 @@ def mutate_summand(x: TwoTermComplex, q_reps: list, *,
     return y
 
 
-def mutate_silting(c: TwoTermComplex, index: int, rng=None) -> TwoTermComplex:
+def mutate_silting(c: TwoTermComplex, index: int) -> TwoTermComplex:
     """Mutate a basic two-term silting complex at its index-th summand
-    class (in decomposition order).  Returns the mutated silting complex."""
-    from .complexes import is_two_term_silting, minimalize
-
-    if not is_two_term_silting(c, rng):
+    class (in decomposition order, complexes.silting_classes).  Returns
+    the mutated silting complex."""
+    found = silting_classes(c)
+    if found is None:
         raise NotSiltingError("mutation input is not a two-term silting complex")
-    classes = [rep for rep, _ in summand_classes(minimalize(c), rng)]
+    classes = [x for _, x, _ in found]
     if not (0 <= index < len(classes)):
         raise ValueError(f"summand index {index} out of range")
     x = classes[index]

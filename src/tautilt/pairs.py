@@ -39,11 +39,9 @@ from dataclasses import dataclass, field
 
 from .complexes import (
     TwoTermComplex,
-    _split_through_h0,
-    is_two_term_silting,
-    minimalize,
     presentation_complex,
     projective_stalk,
+    silting_classes,
     sum_complexes,
 )
 from .errors import (
@@ -62,7 +60,6 @@ from .modules import (
     fac_contains,
     hom_dim as module_hom_dim,
     is_indecomposable,
-    iso_classes,
     minimal_presentation,
     regular,
     same_summands,
@@ -338,14 +335,16 @@ def pair_to_complex(pair: STPair) -> TwoTermComplex:
     return sum_complexes(parts)
 
 
-def complex_to_pair(c: TwoTermComplex, rng=None) -> STPair:
-    """The summand classes of the cokernel of a silting complex, and the
-    vertices of its shifted stalks (complexes._split_through_h0)."""
-    if not is_two_term_silting(c, rng):
+def complex_to_pair(c: TwoTermComplex) -> STPair:
+    """The basic pair of a silting complex: the cokernels of its summand
+    classes and the vertices of its shifted stalks, from one split of its
+    minimal form (complexes.silting_classes)."""
+    classes = silting_classes(c)
+    if classes is None:
         raise NotSiltingError("transport to a pair needs a silting complex")
-    parts, _, pverts = _split_through_h0(minimalize(c), rng)
-    kept, _ = iso_classes(parts)
-    return make_pair(c.algebra, kept, pverts)
+    return make_pair(c.algebra,
+                     [m for m, _, _ in classes if m is not None],
+                     [x.deg1[0] for m, x, _ in classes if m is None])
 
 
 # -- enumeration ----------------------------------------------------------------

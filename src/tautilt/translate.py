@@ -159,8 +159,3 @@ def _nu_module_of(alg, presentation) -> Rep:
                                  [perm[v] for v in verts0], nu_element(alg, e))
     return cokernel(induced)
 
-
-def is_nu_stable_module(m: Rep, rng=None) -> bool:
-    from .modules import are_isomorphic
-
-    return are_isomorphic(m, nu_module(m), rng)

@@ -15,7 +15,8 @@ lemma, the stable pairs come from filtering the whole silting walk
 rather than from the walk over stable nodes, the opposite algebra is
 built again from the reversed relations rather than relabelled, and
 minimal presentations come from a second projective cover rather than
-from the syzygy's top.
+from the syzygy's top.  ext1_dim and is_nu_stable_module are not
+oracles but module functions that only the tests call.
 """
 
 from __future__ import annotations
@@ -469,13 +470,13 @@ def _module_to_complex(algebra, s: Rep):
                           check=False)
 
 
-def triangular_decompose(c, rng=None) -> list:
+def triangular_decompose(c) -> list:
     """Indecomposable direct summands, with repetition, as the summands of
     the triangular module."""
     if c.is_zero():
         return []
     return [_module_to_complex(c.algebra, s)
-            for s in decompose(complex_to_module(c), rng)]
+            for s in decompose(complex_to_module(c))]
 
 
 def triangular_isomorphic(p, q) -> bool:
@@ -590,7 +591,7 @@ def idempotent_decompose(m: Rep, rng=None) -> list:
 # -- mutation oracle --------------------------------------------------------------
 
 
-def universal_mutation(x, q_reps: list, rng=None):
+def universal_mutation(x, q_reps: list):
     """Mutation at x by the universal add(Q)-approximation: every chain map
     in a basis modulo homotopy to (or from) each fixed summand, so the
     reduced cone carries extra add(Q) summands beside the new one; they are
@@ -604,7 +605,7 @@ def universal_mutation(x, q_reps: list, rng=None):
                                  for g1, g0 in chain_maps_mod_homotopy(q, x)])
     (cone,) = [c for c in (left, right) if c is not None]
     fixed = {g_vector_key(q) for q in q_reps}
-    (new,) = [s for s in triangular_decompose(cone, rng)
+    (new,) = [s for s in triangular_decompose(cone)
               if g_vector_key(s) not in fixed]
     assert g_vector_key(new) != g_vector_key(x)
     return new
@@ -795,6 +796,29 @@ def tau_minus_syzygy_oracle(x: Rep) -> Rep:
     """Inverse translate as the inverse Nakayama functor applied to the
     second cosyzygy."""
     return _nu_inverse(_cosyzygy(_cosyzygy(x)))
+
+
+# -- Ext and stability of modules -------------------------------------------------
+
+
+def ext1_dim(m: Rep, n: Rep) -> int:
+    """dim Ext^1(m, n), via maps out of the syzygy modulo those extending
+    to the projective cover."""
+    ker, incl, _, _ = syzygy(m)
+    target = hom_basis(ker, n)
+    if not target:
+        return 0
+    cover_maps = hom_basis(incl.tgt, n)
+    if not cover_maps:
+        return len(target)
+    field = m.algebra.field
+    restricted = np.array([incl.compose(h).flatten() for h in cover_maps],
+                          dtype=np.int64)
+    return len(target) - field.rank(restricted)
+
+
+def is_nu_stable_module(m: Rep) -> bool:
+    return are_isomorphic(m, nu_module(m))
 
 
 # -- module corpora ---------------------------------------------------------------

@@ -43,13 +43,13 @@ from tautilt.pairs import (
 )
 from tautilt.textio import parse_element, parse_module_expr
 from tautilt.translate import (
-    is_nu_stable_module,
     nakayama_permutation,
     tau,
     tau_minus,
 )
 
 import oracles
+from oracles import is_nu_stable_module
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:

@@ -12,6 +12,7 @@ from tautilt.complexes import (
     is_two_term_presilting,
     is_two_term_silting,
     is_two_term_tilting,
+    isomorphic_by_top_trace,
     minimalize,
     nu_complex,
     presentation_complex,
@@ -26,7 +27,7 @@ from tautilt.modules import (
     same_summands,
     simple,
 )
-from tautilt.mutation import g_vector_key
+from tautilt.mutation import enumerate_two_term_silting, g_vector_key
 from tautilt.textio import parse_element
 from tautilt.translate import nakayama_permutation, nu_module
 
@@ -137,6 +138,28 @@ def test_summand_classes_count(nak4):
     assert len(summand_classes(c)) == 2
     parts = decompose_complex(c)
     assert len(parts) == 3
+
+
+@pytest.mark.parametrize("name", ["a2", "nak4", "prep3"])
+def test_summand_classes_match_the_top_trace_grouping(request, name):
+    # the classes read off one split of the cokernel agree, representative
+    # by representative, with the summands of decompose_complex grouped
+    # by the top-trace pairing of chain maps
+    alg = request.getfixturevalue(name)
+    run = enumerate_two_term_silting(alg)
+    for node in run.nodes:
+        c = run.node_complex(node)
+        want = []
+        for x in decompose_complex(c):
+            hit = next((k for k, (y, _) in enumerate(want)
+                        if isomorphic_by_top_trace(x, y)), None)
+            if hit is None:
+                want.append((x, 1))
+            else:
+                want[hit] = (want[hit][0], want[hit][1] + 1)
+        got = summand_classes(c)
+        assert [(x.deg1, x.deg0, k) for x, k in got] == [
+            (y.deg1, y.deg0, k) for y, k in want]
 
 
 def test_decomposition_rejects_non_minimal_complexes(kronecker):

@@ -17,7 +17,6 @@ from tautilt.modules import (
     decompose,
     direct_sum,
     dual,
-    ext1_dim,
     fac_contains,
     hom_basis,
     hom_dim,
@@ -40,7 +39,7 @@ from tautilt.modules import (
 from tautilt.textio import parse_algebra_text, parse_module_expr
 
 import oracles
-from oracles import extract_iso
+from oracles import ext1_dim, extract_iso
 
 
 @pytest.fixture(scope="module")

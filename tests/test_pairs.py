@@ -34,7 +34,7 @@ from tautilt.pairs import (
 from tautilt.modules import dual
 from tautilt.translate import tau, tau_minus
 from tautilt.modules import are_isomorphic
-from tautilt.complexes import is_two_term_tilting
+from tautilt.complexes import is_two_term_tilting, projective_stalk
 from tautilt.mutation import (
     enumerate_two_term_silting,
     g_vector_key,
@@ -98,6 +98,17 @@ def test_pair_complex_roundtrip(nak4_pairs, rng):
     for pair in sample:
         back = complex_to_pair(pair_to_complex(pair))
         assert oracles.pairs_match(pair, back)
+
+
+def test_complex_to_pair_of_non_basic_complexes(a2):
+    # repeated summands, shifted or not, give the basic pair
+    shifted = complex_to_pair(projective_stalk(a2, [1, 1, 2], shifted=True))
+    assert shifted.modules == () and shifted.pverts == (1, 2)
+    unshifted = complex_to_pair(projective_stalk(a2, [1, 2, 1]))
+    assert unshifted.pverts == ()
+    assert [m.dim_vector() for m in unshifted.modules] == [(0, 1), (1, 1)]
+    assert oracles.pairs_match(
+        unshifted, make_pair(a2, [projective(a2, 1), projective(a2, 2)], ()))
 
 
 def _sampled_node_answers(algebra) -> dict:

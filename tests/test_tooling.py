@@ -1,11 +1,12 @@
 """Tooling outside the package that breaks silently when the package
 changes: the benchmark tracer wraps functions by name, the demos call
-the public API and assert their own claims, and numpy stays the only
-runtime dependency."""
+the public API and assert their own claims, numpy stays the only
+runtime dependency, and no public callable takes a random generator."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pathlib
 import re
@@ -36,6 +37,18 @@ def test_numpy_is_the_only_runtime_dependency():
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group()
              for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_public_api_takes_no_random_generator():
+    # decomposition seeds its own generator, so results are deterministic
+    # and no public callable takes one
+    tautilt = importlib.import_module("tautilt")
+    for name in tautilt.__all__:
+        obj = getattr(tautilt, name)
+        if not callable(obj) or (isinstance(obj, type)
+                                 and issubclass(obj, Exception)):
+            continue
+        assert "rng" not in inspect.signature(obj).parameters, name
 
 
 def test_traced_names_resolve():

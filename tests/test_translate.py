@@ -22,7 +22,6 @@ from tautilt.modules import (
     zero_module,
 )
 from tautilt.translate import (
-    is_nu_stable_module,
     is_selfinjective,
     nakayama_permutation,
     nu_element,
@@ -34,6 +33,7 @@ from tautilt.translate import (
 from tautilt.textio import parse_algebra_text
 
 import oracles
+from oracles import is_nu_stable_module
 
 ROOT = pathlib.Path(__file__).parent.parent
 
