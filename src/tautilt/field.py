@@ -90,12 +90,6 @@ class PrimeField:
             out = (out + a[..., s:s + step] @ b[s:s + step]) % self.p
         return out
 
-    def add(self, a, b) -> np.ndarray:
-        return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
-
-    def sub(self, a, b) -> np.ndarray:
-        return (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.p
-
     # -- elimination ------------------------------------------------------
 
     def rref(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:

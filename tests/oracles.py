@@ -12,11 +12,13 @@ compared as modules over the triangular matrix algebra rather than
 through their cokernels, modules are split by idempotents
 from a factorised minimal polynomial (sympy) rather than by Fitting's
 lemma, the stable pairs come from filtering the whole silting walk
-rather than from the walk over stable nodes, the opposite algebra is
-built again from the reversed relations rather than relabelled, and
-minimal presentations come from a second projective cover rather than
-from the syzygy's top.  ext1_dim and is_nu_stable_module are not
-oracles but module functions that only the tests call.
+rather than from the walk over stable nodes, the support
+tau-minus-tilting modules come from a second walk over the opposite
+algebra rather than by counting, the opposite algebra is built again
+from the reversed relations rather than relabelled, and minimal
+presentations come from a second projective cover rather than from the
+syzygy's top.  ext1_dim and is_nu_stable_module are not oracles but
+module functions that only the tests call.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ from tautilt.modules import (
 )
 from tautilt.pairs import (
     PairEnumeration,
+    STPair,
+    SummandTables,
     enumerate_support_tau_tilting,
     is_support_tau_tilting_pair,
     make_pair,
@@ -1006,6 +1010,22 @@ def brute_force_pairs(algebra, indecs: list) -> list:
             if is_support_tau_tilting_pair(pair):
                 found.append(pair)
     return found
+
+
+def op_walk_converse(algebra, cap: int = 10000) -> tuple:
+    """The converse half of tau-minus coincidence from a second walk, over
+    the opposite algebra: (status of that walk, whether the dual of every
+    support tau-tilting A^op-module, with the same complement vertices, is
+    a support tau-tilting pair over A)."""
+    op_enum = enumerate_support_tau_tilting(algebra.opposite(), cap)
+    tables = SummandTables()
+    holds = all(
+        is_support_tau_tilting_pair(
+            STPair(algebra, tuple(tables.dual(m) for m in op_pair.modules),
+                   op_pair.pverts),
+            tables=tables)
+        for op_pair in op_enum.pairs)
+    return op_enum.status, holds
 
 
 # -- preprojective algebras of type D and their Weyl groups ----------------------

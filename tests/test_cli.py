@@ -334,19 +334,32 @@ def test_walk_never_builds_the_triangular_algebra(capsys, monkeypatch,
     assert 1 <= len(built) <= 2
 
 
-@pytest.mark.parametrize("argv, golden", [
+GOLDEN_RUNS = [
     (("enumerate", "nakayama4.alg", "--filter", "silting"),
-     "enumerate_nakayama4_silting.stdout"),
+     "enumerate_nakayama4_silting.stdout", 0),
     (("enumerate", "preproj_a3.alg", "--filter", "silting"),
-     "enumerate_preproj_a3_silting.stdout"),
-    (("report-2cy", "nakayama4.alg"), "report-2cy_nakayama4.stdout"),
+     "enumerate_preproj_a3_silting.stdout", 0),
+    (("report-2cy", "nakayama4.alg"), "report-2cy_nakayama4.stdout", 0),
     (("enumerate", "nakayama4.alg", "--filter", "nu-stable"),
-     "enumerate_nakayama4_nu_stable.stdout"),
-])
-def test_stdout_matches_golden(capsys, data_dir, argv, golden):
+     "enumerate_nakayama4_nu_stable.stdout", 0),
+    (("report-2cy", "a2.alg"), "report-2cy_a2.stdout", 0),
+    (("report-2cy", "gorenstein_witness.alg"),
+     "report-2cy_gorenstein_witness.stdout", 1),
+    (("report-2cy", "nakayama6.alg"), "report-2cy_nakayama6.stdout", 1),
+    (("report-2cy", "one_vertex.alg"), "report-2cy_one_vertex.stdout", 0),
+    (("report-2cy", "preproj_a3.alg"), "report-2cy_preproj_a3.stdout", 1),
+    (("report-2cy", "kronecker.alg", "--cap", "10"),
+     "report-2cy_kronecker_cap10.stdout", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, golden, exit_code", GOLDEN_RUNS,
+    ids=[f"argv{i}-{golden}" for i, (_, golden, _) in enumerate(GOLDEN_RUNS)])
+def test_stdout_matches_golden(capsys, data_dir, argv, golden, exit_code):
     command, name, *rest = argv
     code, out, _ = run(capsys, command, str(data_dir / name), *rest)
-    assert code == 0
+    assert code == exit_code
     assert out.encode() == (data_dir / "golden" / golden).read_bytes()
 
 

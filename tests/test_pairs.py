@@ -238,6 +238,32 @@ def test_obstruction_report_hereditary(a2):
     assert report.checks[CHECK_NU_TRANSLATE] == "SKIPPED"
 
 
+@pytest.mark.parametrize("name", ["a2", "nak4", "nak6", "prep3", "witness",
+                                  "one_vertex", "pa4"])
+def test_tau_minus_coincidence_matches_op_walk(request, name):
+    # on a complete walk the counting argument makes the walk over A^op
+    # redundant: its converse inclusion holds exactly when the check passes
+    alg = request.getfixturevalue(name)
+    report = two_cy_obstruction_report(alg)
+    status, converse = oracles.op_walk_converse(alg)
+    assert not report.truncated
+    assert status == "COMPLETE"
+    assert (report.checks[CHECK_TAU_MINUS] == "PASS") == converse
+
+
+def test_obstruction_report_walks_once(nak4, monkeypatch):
+    walks = []
+
+    def counting(*args, **kwargs):
+        walks.append(args)
+        return enumerate_support_tau_tilting(*args, **kwargs)
+
+    monkeypatch.setattr("tautilt.pairs.enumerate_support_tau_tilting",
+                        counting)
+    two_cy_obstruction_report(nak4)
+    assert len(walks) == 1
+
+
 def test_obstruction_report_witness(witness):
     report = two_cy_obstruction_report(witness)
     assert report.verdict == "OBSTRUCTED"
