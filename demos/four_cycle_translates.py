@@ -42,9 +42,10 @@ print(f"support tau-tilting pairs: {len(run.pairs)} ({run.status})")
 stable = [p for p in run.pairs if is_nu_stable_pair(p)]
 print(f"stable under the Nakayama functor: {len(stable)}")
 
-# Independent route: the dedicated enumerator walks only the nodes next to
-# stable ones, one orbit of the Nakayama functor at a time, and checks
-# each visited node against the tilting criterion.  Counts must match.
+# Independent route: the dedicated enumerator visits only the stable
+# nodes, stepping from each by mutation at one orbit of the Nakayama
+# functor at a time, and checks each against the tilting criterion.
+# Counts must match.
 assert len(enumerate_nu_stable(alg).pairs) == len(stable)
 
 def names(module) -> str:

@@ -40,6 +40,7 @@ from .pairs import (
 from .textio import (
     algebra_json,
     complex_json,
+    differential_rows,
     module_expr_string,
     parse_algebra_file,
     parse_module_terms,
@@ -211,8 +212,11 @@ def cmd_enumerate(args) -> int:
         raise NotSelfinjectiveError(
             "the nu-stable filter needs a selfinjective algebra")
     status, silting, rows, selfinj = _enumeration_entries(algebra, args)
-    # the pairs share one module object per registry item
+    # the pairs share one module object per registry item, and each node's
+    # complex is the sum of its items in id order
     expr = functools.cache(module_expr_string)
+    items = silting.registry.items
+    block = functools.cache(lambda i: (items[i], differential_rows(items[i])))
     entries = []
     for pair, c, tilting, node in rows:
         x = pair.module_sum()
@@ -223,7 +227,7 @@ def cmd_enumerate(args) -> int:
         entry = {
             "modules": [expr(m) for m in pair.modules],
             "projective_vertices": sorted(pair.pverts),
-            "complex": complex_json(c),
+            "complex": complex_json(c, [block(i) for i in sorted(node)]),
             "nu_stable": stable,
             "tilting": tilting,
         }
@@ -269,9 +273,9 @@ def _add_common(sub, enumerating: bool):
                               "TRUNCATED, at the first level that starts "
                               "with more nodes than this, and prints all "
                               "nodes found so far that pass the filter; "
-                              "for nu-stable it bounds the nodes the walk "
-                              "over stable nodes visits, checked before "
-                              "each reduced walk and at each of its levels")
+                              "for nu-stable it bounds the stable nodes "
+                              "found, the only nodes that walk visits, "
+                              "checked before each node is expanded")
         sub.add_argument("--seed", type=int, default=0,
                          help="accepted for compatibility; the walk draws no "
                               "random numbers, so it has no effect on the "

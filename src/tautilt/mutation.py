@@ -41,9 +41,12 @@ of its own differential (complexes.TwoTermComplex).  Whether a node is tilting i
 read from per-item bitmasks of the j with Hom(i, j[-1]) = 0.
 
 Over a selfinjective algebra the stable (tilting) nodes are reached
-without the whole graph: walk_nu_stable walks, from each stable node and
-each orbit of the Nakayama functor on its items, only the nodes that keep
-the rest of the node, on the same registry and tables.
+without the whole graph: walk_nu_stable visits only them, stepping from
+each stable node by tilting mutation at each orbit of the Nakayama functor
+on its items (Aihara-Iyama, J. LMS 2012), on the same registry and
+tables.  The neighbour is looked up as the one union of candidate orbits
+compatible with the rest of the node, and only when the registry does not
+hold it yet is each item of the orbit mutated.
 """
 
 from __future__ import annotations
@@ -361,10 +364,12 @@ class EnumerationResult:
     """Mutation graph of basic two-term silting complexes.
 
     nodes are frozensets of registry ids in discovery order: every node
-    for the whole walk, the nodes visited for walk_nu_stable; edges[node]
-    maps a summand id to the neighbouring node, for the summands the walk
-    mutated at; status is COMPLETE when the walk was exhausted and
-    TRUNCATED when the node cap stopped it.
+    for the whole walk, only the stable nodes for walk_nu_stable.
+    edges[node] maps a summand id (whole walk) or a frozenset of them, an
+    orbit of the Nakayama functor (walk_nu_stable), to the neighbouring
+    node reached by mutating there, recorded both ways.  status is
+    COMPLETE when the walk was exhausted and TRUNCATED when the node cap
+    stopped it.
     Facts about registry items are kept per item or per pair of items:
     Hom(-, -[shift]) dimensions, Nakayama images, compatibility masks, the
     masks of vanishing Hom(i, j[-1]) that decide tilting, and the chain
@@ -457,21 +462,14 @@ def start_walk(algebra) -> EnumerationResult:
     return EnumerationResult(algebra, registry, [start], {}, "COMPLETE")
 
 
-def walk_from(result: EnumerationResult, start, cap: int,
-              frozen=frozenset()) -> list:
-    """Breadth-first walk from start over the nodes that contain frozen,
-    mutating only at items outside it; returns the nodes reached, start
-    first.  With frozen a presilting set of items, these nodes form the
-    mutation graph of a smaller algebra (tau-tilting reduction; Jasso,
-    IMRN 2015).  Each edge is looked up in result.edges, then in the
-    registry; only an edge to an item not yet registered runs a mutation,
-    which then registers it.  A node no earlier walk on result reached is
-    appended to result.nodes.  The walk stops, setting result.status to
-    TRUNCATED, at the first level that starts with more than cap nodes in
-    result.nodes."""
+def walk_from(result: EnumerationResult, start, cap: int) -> None:
+    """Breadth-first walk from start.  Each edge is looked up in
+    result.edges, then in the registry; only an edge to an item not yet
+    registered runs a mutation, which then registers it.  A node reached
+    for the first time is appended to result.nodes.  The walk stops,
+    setting result.status to TRUNCATED, at the first level that starts
+    with more than cap nodes in result.nodes."""
     registry = result.registry
-    reached = [start]
-    seen = {start}
     frontier = [start]
     while frontier:
         if len(result.nodes) > cap:
@@ -480,25 +478,31 @@ def walk_from(result: EnumerationResult, start, cap: int,
         nxt = []
         for node in sorted(frontier, key=lambda nd: tuple(sorted(nd))):
             fan = result.edges.setdefault(node, {})
-            for x in sorted(node - frozen):
-                if x not in fan:
-                    yid = find_completion(result, node, x)
-                    if yid is None:
-                        qs = [registry.items[q] for q in sorted(node)
-                              if q != x]
-                        yid = registry.get_or_insert(mutate_summand(
-                            registry.items[x], qs, _maps=result._maps))
-                    new_node = frozenset((node - {x}) | {yid})
-                    fan[x] = new_node
-                    if new_node not in result.edges:  # first edge into it
-                        result.nodes.append(new_node)
-                    result.edges.setdefault(new_node, {})[yid] = node
-                if fan[x] not in seen:
-                    seen.add(fan[x])
-                    reached.append(fan[x])
-                    nxt.append(fan[x])
+            for x in sorted(node):
+                if x in fan:
+                    continue
+                yid = find_completion(result, node, x)
+                if yid is None:
+                    qs = [registry.items[q] for q in sorted(node) if q != x]
+                    yid = registry.get_or_insert(mutate_summand(
+                        registry.items[x], qs, _maps=result._maps))
+                new_node = frozenset((node - {x}) | {yid})
+                fan[x] = new_node
+                if new_node not in result.edges:  # first edge into it
+                    result.nodes.append(new_node)
+                    nxt.append(new_node)
+                result.edges.setdefault(new_node, {})[yid] = node
         frontier = nxt
-    return reached
+
+
+def nu_orbit(result: EnumerationResult, i: int) -> frozenset:
+    """The orbit of the Nakayama functor through registry item i."""
+    orbit = {i}
+    j = result.nu_id(i)
+    while j != i:
+        orbit.add(j)
+        j = result.nu_id(j)
+    return frozenset(orbit)
 
 
 def nu_orbits(result: EnumerationResult, node) -> list:
@@ -506,55 +510,123 @@ def nu_orbits(result: EnumerationResult, node) -> list:
     as frozensets ordered by their least item."""
     orbits = []
     for i in sorted(node):
-        if any(i in orbit for orbit in orbits):
-            continue
-        orbit = {i}
-        j = result.nu_id(i)
-        while j != i:
-            orbit.add(j)
-            j = result.nu_id(j)
-        orbits.append(frozenset(orbit))
+        if not any(i in orbit for orbit in orbits):
+            orbits.append(nu_orbit(result, i))
     return orbits
 
 
+def find_stable_completion(result: EnumerationResult, node,
+                           orbit) -> frozenset | None:
+    """The registry items Y outside the stable node that make
+    (node - orbit) + Y another stable node, or None when the registry does
+    not hold them yet.  The candidates are the items outside node
+    compatible with every item of node - orbit, as in find_completion,
+    taken in whole orbits of the Nakayama functor; Y is a union of such
+    orbits with as many items as orbit, pairwise compatible.  Then
+    (node - orbit) + Y is presilting with a full count of items, so
+    silting, and fixed by the Nakayama functor, so tilting; a second such
+    Y is a TheoremViolationError (the tests observe exactly one stable
+    node besides node that contains node - orbit)."""
+    found = (1 << len(result.registry)) - 1
+    for q in node:
+        found &= ~(1 << q)
+        if q not in orbit:
+            found &= result.compatible_mask(q)
+    candidates = []  # (orbit, its bits, the AND of its items' masks)
+    seen = set()
+    for i in range(found.bit_length()):
+        if found >> i & 1 and i not in seen:
+            other = nu_orbit(result, i)
+            seen |= other
+            bits, mask = 0, -1
+            for j in other:
+                bits |= 1 << j
+                mask &= result.compatible_mask(j)
+            if bits & found & mask == bits:
+                candidates.append((other, bits, mask))
+    unions = []
+
+    def grow(k: int, items: frozenset, mask: int) -> None:
+        if len(items) == len(orbit):
+            unions.append(items)
+            return
+        for m in range(k, len(candidates)):
+            other, bits, own = candidates[m]
+            if len(items) + len(other) <= len(orbit) and bits & mask == bits:
+                grow(m + 1, items | other, mask & own)
+
+    grow(0, frozenset(), found)
+    if len(unions) > 1:
+        raise TheoremViolationError(
+            f"{len(unions)} other stable nodes contain a stable node less "
+            "one orbit")
+    return unions[0] if unions else None
+
+
+def _mutate_orbit(result: EnumerationResult, node, orbit) -> frozenset:
+    """Tilting mutation of the stable node at the orbit: each of its items
+    mutated at node - orbit (mutate_summand), the results registered.  The
+    left mutation of the whole orbit is the sum of its items' left
+    mutations, and likewise on the right, so every item must go one way.
+    A left mutation x -> Q' -> y -> x[1] has a nonzero connecting map, so
+    Hom(y, x[1]) != 0, while a right one, y -> Q' -> x -> y[1], leaves
+    Hom(y, x[1]) = 0 because y is compatible with Q'.  The new node must
+    keep the item count and be stable (Aihara-Iyama, J. LMS 2012), or a
+    TheoremViolationError is raised."""
+    registry = result.registry
+    rest = [registry.items[q] for q in sorted(node - orbit)]
+    ys = {}
+    for x in sorted(orbit):
+        ys[x] = registry.get_or_insert(mutate_summand(
+            registry.items[x], rest, _maps=result._maps))
+    if len({result.hom_shift(y, x, 1) != 0 for x, y in ys.items()}) > 1:
+        raise TheoremViolationError(
+            "the items of one orbit mutate in different directions")
+    new_items = frozenset(ys.values())
+    new_node = (node - orbit) | new_items
+    if len(new_node) != len(node) or not result.is_node_nu_stable(new_node):
+        raise TheoremViolationError(
+            "mutation at an orbit of the Nakayama functor left the stable "
+            "nodes")
+    return new_items
+
+
 def walk_nu_stable(algebra, cap: int = 10000) -> EnumerationResult:
-    """A walk that reaches every stable node (two-term tilting complex,
-    over a selfinjective algebra) without walking the whole mutation
-    graph.  From each stable node T, starting with the algebra, and each
-    orbit X of the Nakayama functor on its items, it walks the nodes that
-    contain T - X (walk_from with T - X frozen) and queues the stable
-    nodes reached.  This follows tilting mutation over a selfinjective
-    algebra, which exchanges a set of summands the Nakayama functor fixes
-    (Aihara-Iyama, J. LMS 2012); that these exchanges reach every stable
-    node is checked against the whole walk by the tests.  A stable node U
-    reached this way gives the same frozen set, so each frozen set is
-    walked once.  result.nodes holds the nodes visited; cap bounds their
-    count as in walk_from, checked before each reduced walk and at each of
-    its levels."""
+    """A walk over the stable nodes only (two-term tilting complexes, over
+    a selfinjective algebra).  From each stable node T, starting with the
+    algebra, and each orbit X of the Nakayama functor on its items, the
+    neighbour is the tilting mutation of T at X, which exchanges X for
+    another set of items the Nakayama functor fixes (Aihara-Iyama, J. LMS
+    2012): looked up in the registry first (find_stable_completion), and
+    computed by mutating each item of X only when it is not registered
+    yet.  That these exchanges reach every stable node is checked against
+    the whole walk by the tests.  result.nodes holds the stable nodes in
+    the order found, and result.edges[T][X] the neighbour, recorded both
+    ways.  cap bounds the count of stable nodes found, checked before each
+    node is expanded; the walk stops TRUNCATED when it is exceeded."""
     result = start_walk(algebra)
-    stable = list(result.nodes)
-    queued = set(stable)
-    walked = set()
-    for t in stable:  # grows as stable nodes are reached
-        for orbit in nu_orbits(result, t):
-            frozen = t - orbit
-            if frozen in walked:
+    for node in result.nodes:  # grows as stable nodes are found
+        if len(result.nodes) > cap:
+            result.status = "TRUNCATED"
+            break
+        fan = result.edges.setdefault(node, {})
+        for orbit in nu_orbits(result, node):
+            if orbit in fan:
                 continue
-            walked.add(frozen)
-            reached = walk_from(result, t, cap, frozen)
-            if result.status == "TRUNCATED":
-                return result
-            for u in reached:
-                if u not in queued and result.is_node_nu_stable(u):
-                    queued.add(u)
-                    stable.append(u)
+            ys = find_stable_completion(result, node, orbit)
+            if ys is None:
+                ys = _mutate_orbit(result, node, orbit)
+            new_node = (node - orbit) | ys
+            fan[orbit] = new_node
+            if new_node not in result.edges:
+                result.nodes.append(new_node)
+            result.edges.setdefault(new_node, {})[ys] = node
     return result
 
 
 def enumerate_two_term_silting(algebra, cap: int = 10000) -> EnumerationResult:
     """Breadth-first walk of the whole mutation graph from the stalk of
-    the algebra (walk_from with nothing frozen).  The walk draws no random
-    numbers."""
+    the algebra (walk_from).  The walk draws no random numbers."""
     result = start_walk(algebra)
     walk_from(result, result.nodes[0], cap)
     return result

@@ -22,8 +22,8 @@ are then bitmask tests over registry ids: tau-rigidity is an AND of
 per-top masks of vanishing Hom(top_i, tau top_j), and stability asks
 whether the Nakayama functor, matched once per top to another top,
 permutes the node's tops.  The stable pairs come from a walk that visits
-only the nodes next to stable ones (mutation.walk_nu_stable), each visited
-node checked by the same predicates.
+only the stable nodes (mutation.walk_nu_stable), each checked by the same
+predicates.
 
 Several results carry a second, independently computed route, and any
 disagreement between routes raises TheoremViolationError: stability under
@@ -465,15 +465,20 @@ def enumerate_support_tau_tilting(algebra, cap: int = 10000) -> PairEnumeration:
 
 def enumerate_nu_stable(algebra, cap: int = 10000) -> PairEnumeration:
     """The stable pairs, from the walk over stable nodes
-    (mutation.walk_nu_stable); silting.nodes holds the nodes it visited,
-    and pairs the stable ones.  Every visited node is checked: its pair
-    is support tau-tilting, and it is stable by the pair route (the
-    Nakayama functor permutes its tops) exactly when it is by the complex
-    route (it permutes its items) and exactly when it is tilting.  The
-    complement vertices of each stable pair must be closed under the
-    Nakayama permutation."""
-    out = _pair_enumeration(algebra, walk_nu_stable(algebra, cap))
-    walk = out.silting
+    (mutation.walk_nu_stable); silting.nodes holds the stable nodes it
+    found, and pairs their pairs.  Each node is checked as in
+    _nu_stable_enumeration."""
+    return _nu_stable_enumeration(algebra, walk_nu_stable(algebra, cap))
+
+
+def _nu_stable_enumeration(algebra, walk: EnumerationResult) -> PairEnumeration:
+    """The pairs of the stable nodes among walk.nodes.  Every node is
+    checked: its pair is support tau-tilting, and it is stable by the pair
+    route (the Nakayama functor permutes its tops) exactly when it is by
+    the complex route (it permutes its items) and exactly when it is
+    tilting.  The complement vertices of each stable pair must be closed
+    under the Nakayama permutation."""
+    out = _pair_enumeration(algebra, walk)
     perm = nakayama_permutation(algebra)
     for node in walk.nodes:
         _require_support_tau_tilting(out, node)

@@ -419,18 +419,36 @@ def multiplicity_vector(verts: list, n: int) -> list:
     return counts
 
 
-def complex_json(c) -> dict:
+def differential_rows(c) -> list:
+    """The differential of c as formatted entries, one row per degree 0
+    summand and one column per degree -1 summand, in c's own order."""
+    alg = c.algebra
+    return [[alg.format_element(entry) for entry in row] for row in c.d]
+
+
+def complex_json(c, blocks=None) -> dict:
     """JSON body of a complex.  Summands are listed per vertex, so the
     differential is permuted into vertex order to keep its indexing
-    consistent with the multiplicity vectors."""
+    consistent with the multiplicity vectors.  When c is a direct sum
+    whose summands' differentials are already formatted, blocks gives
+    them in the order of the sum, as (summand, differential_rows of it),
+    and the entries off the blocks are "0"."""
     alg = c.algebra
+    if blocks is None:
+        blocks = [(c, differential_rows(c))]
+    full = [["0"] * len(c.deg1) for _ in c.deg0]
+    r0 = c0 = 0
+    for part, rows in blocks:
+        for r, row in enumerate(rows):
+            full[r0 + r][c0:c0 + len(part.deg1)] = row
+        r0 += len(part.deg0)
+        c0 += len(part.deg1)
     cols = sorted(range(len(c.deg1)), key=lambda k: c.deg1[k])
     rows = sorted(range(len(c.deg0)), key=lambda k: c.deg0[k])
     return {
         "m1": multiplicity_vector(c.deg1, alg.num_vertices),
         "m0": multiplicity_vector(c.deg0, alg.num_vertices),
-        "differential": [[alg.format_element(c.d[r, col])
-                          for col in cols] for r in rows],
+        "differential": [[full[r][col] for col in cols] for r in rows],
     }
 
 

@@ -11,8 +11,9 @@ rather than the minimal approximation, complexes are decomposed and
 compared as modules over the triangular matrix algebra rather than
 through their cokernels, modules are split by idempotents
 from a factorised minimal polynomial (sympy) rather than by Fitting's
-lemma, the stable pairs come from filtering the whole silting walk
-rather than from the walk over stable nodes, the support
+lemma, the stable pairs come from filtering the whole silting walk, or
+from walking every node around each stable node, rather than from the
+orbit mutations of the walk over stable nodes, the support
 tau-minus-tilting modules come from a second walk over the opposite
 algebra rather than by counting, the opposite algebra is built again
 from the reversed relations rather than relabelled, and minimal
@@ -60,10 +61,17 @@ from tautilt.modules import (
     submodule_generated,
     syzygy,
 )
+from tautilt.mutation import (
+    find_completion,
+    mutate_summand,
+    nu_orbits,
+    start_walk,
+)
 from tautilt.pairs import (
     PairEnumeration,
     STPair,
     SummandTables,
+    _nu_stable_enumeration,
     enumerate_support_tau_tilting,
     is_support_tau_tilting_pair,
     make_pair,
@@ -1126,6 +1134,78 @@ def full_walk_nu_stable(algebra, cap: int = 10000) -> PairEnumeration:
     index = {base.silting.nodes[k]: i for i, k in enumerate(by_stability)}
     return PairEnumeration(algebra, picked, base.status, base.silting, index,
                            base.tops, base.tables)
+
+
+# -- stable pairs from the reduced graphs around each stable node -------------
+
+
+def _walk_reduced(result, start, cap: int, frozen) -> list:
+    """Breadth-first walk from start over the nodes that contain frozen,
+    mutating only at items outside it; returns the nodes reached, start
+    first.  With frozen a presilting set of items, these nodes form the
+    mutation graph of a smaller algebra (tau-tilting reduction; Jasso,
+    IMRN 2015).  Edges are looked up and recorded as in
+    mutation.walk_from, and a node no earlier walk on result reached is
+    appended to result.nodes.  The walk stops, setting result.status to
+    TRUNCATED, at the first level that starts with more than cap nodes in
+    result.nodes."""
+    registry = result.registry
+    reached = [start]
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        if len(result.nodes) > cap:
+            result.status = "TRUNCATED"
+            break
+        nxt = []
+        for node in sorted(frontier, key=lambda nd: tuple(sorted(nd))):
+            fan = result.edges.setdefault(node, {})
+            for x in sorted(node - frozen):
+                if x not in fan:
+                    yid = find_completion(result, node, x)
+                    if yid is None:
+                        qs = [registry.items[q] for q in sorted(node)
+                              if q != x]
+                        yid = registry.get_or_insert(mutate_summand(
+                            registry.items[x], qs, _maps=result._maps))
+                    new_node = frozenset((node - {x}) | {yid})
+                    fan[x] = new_node
+                    if new_node not in result.edges:  # first edge into it
+                        result.nodes.append(new_node)
+                    result.edges.setdefault(new_node, {})[yid] = node
+                if fan[x] not in seen:
+                    seen.add(fan[x])
+                    reached.append(fan[x])
+                    nxt.append(fan[x])
+        frontier = nxt
+    return reached
+
+
+def reduced_walk_nu_stable(algebra, cap: int = 10000) -> PairEnumeration:
+    """Stable pairs from the reduced graphs: from each stable node T,
+    starting with the algebra, and each orbit X of the Nakayama functor on
+    its items, walk every node that contains T - X and queue the stable
+    nodes reached.  Each frozen set T - X is walked once.  silting.nodes
+    holds every node visited, and each is checked as in
+    enumerate_nu_stable."""
+    result = start_walk(algebra)
+    stable = list(result.nodes)
+    queued = set(stable)
+    walked = set()
+    for t in stable:  # grows as stable nodes are reached
+        for orbit in nu_orbits(result, t):
+            frozen = t - orbit
+            if frozen in walked:
+                continue
+            walked.add(frozen)
+            reached = _walk_reduced(result, t, cap, frozen)
+            if result.status == "TRUNCATED":
+                return _nu_stable_enumeration(algebra, result)
+            for u in reached:
+                if u not in queued and result.is_node_nu_stable(u):
+                    queued.add(u)
+                    stable.append(u)
+    return _nu_stable_enumeration(algebra, result)
 
 
 # -- pair set comparison ------------------------------------------------------------

@@ -170,12 +170,13 @@ def test_cap_counts_nodes_once_per_level(capsys, data_dir):
 
 
 def test_nu_stable_cap_counts_visited_nodes(capsys, data_dir):
-    """For --filter nu-stable, --cap bounds the nodes the walk over stable
-    nodes visits (80 on nakayama6), checked before each reduced walk: a
-    small cap stops it TRUNCATED, and the visited count completes it."""
+    """For --filter nu-stable, --cap bounds the stable nodes the walk over
+    stable nodes finds (20 on nakayama6), checked before each node is
+    expanded: a small cap stops it TRUNCATED, and the stable count
+    completes it."""
     alg = str(data_dir / "nakayama6.alg")
     visited = len(enumerate_nu_stable(parse_algebra_file(alg)).silting.nodes)
-    assert visited == 80
+    assert visited == 20
     code, out, _ = run(capsys, "enumerate", alg, "--filter", "nu-stable",
                        "--cap", "10")
     doc = json.loads(out)
@@ -186,6 +187,20 @@ def test_nu_stable_cap_counts_visited_nodes(capsys, data_dir):
     doc = json.loads(out)
     assert code == 0 and doc["flag"] == "COMPLETE"
     assert len(doc["entries"]) == 20
+
+
+def test_nu_stable_completes_nakayama_8_8_at_the_default_cap(capsys, tmp_path,
+                                                            algebras):
+    """N(8,8) has one orbit of the Nakayama functor on the stalks of the
+    algebra, so the whole silting graph (12870 nodes) is not walked: the
+    two stable nodes, the algebra and its shift, are one orbit mutation
+    apart."""
+    alg = tmp_path / "n88.alg"
+    alg.write_text(algebras.nakayama(8, 8))
+    code, out, _ = run(capsys, "enumerate", str(alg), "--filter", "nu-stable")
+    doc = json.loads(out)
+    assert code == 0 and doc["flag"] == "COMPLETE"
+    assert len(doc["entries"]) == 2
 
 
 def test_enumerate_nu_stable_rejected_off_selfinjective(capsys, data_dir):

@@ -1,17 +1,25 @@
 """The walk over stable nodes against the whole silting walk.
 
-enumerate_nu_stable visits only the nodes that contain a stable node
-less one orbit of the Nakayama functor on its items.  The oracle filters
-every node of the whole walk (oracles.full_walk_nu_stable); both must give
-the same stable pairs, and the complex printed for a pair must be
-isomorphic to the whole walk's.  The paper's third description of the
-same objects, stable functorially finite torsion classes (Fac M = Fac of
-its Nakayama image), is checked against node stability on every node."""
+enumerate_nu_stable visits only the stable nodes, stepping from each by
+tilting mutation at one orbit of the Nakayama functor on its items.  One
+oracle filters every node of the whole walk (oracles.full_walk_nu_stable),
+another walks every node that contains a stable node less one orbit
+(oracles.reduced_walk_nu_stable); all must give the same stable pairs,
+and the complex printed for a pair must be isomorphic to the whole
+walk's.  The paper's third description of the same objects, stable
+functorially finite torsion classes (Fac M = Fac of its Nakayama image),
+is checked against node stability on every node."""
 
 import pytest
 
 from tautilt.complexes import complexes_isomorphic
-from tautilt.mutation import nu_orbits
+from tautilt.errors import TheoremViolationError
+from tautilt.mutation import (
+    EnumerationResult,
+    find_stable_completion,
+    nu_orbits,
+    walk_nu_stable,
+)
 from tautilt.pairs import (
     enumerate_nu_stable,
     enumerate_support_tau_tilting,
@@ -59,8 +67,67 @@ def test_orbit_walk_finds_the_full_walks_stable_pairs(algebra_of, orbit_run,
     run = orbit_run(name)
     full = oracles.full_walk_nu_stable(algebra_of(name))
     assert run.status == full.status == "COMPLETE"
-    assert len(run.silting.nodes) <= len(full.silting.nodes)
+    assert len(run.silting.nodes) == len(run.pairs)
     assert oracles.same_pair_sets(run.pairs, full.pairs), name
+
+
+@pytest.mark.parametrize("name", SELFINJECTIVE)
+def test_orbit_walk_finds_the_reduced_walks_stable_pairs(algebra_of, orbit_run,
+                                                         name):
+    run = orbit_run(name)
+    reduced = oracles.reduced_walk_nu_stable(algebra_of(name))
+    assert reduced.status == "COMPLETE"
+    assert oracles.same_pair_sets(run.pairs, reduced.pairs), name
+
+
+def test_orbit_walk_on_one_orbit_visits_the_two_stable_nodes(orbit_run):
+    """The Nakayama functor of N(6,6) has one orbit on the stalks of the
+    algebra, and its stable nodes are the algebra and its shift."""
+    run = orbit_run("n66")
+    assert run.status == "COMPLETE"
+    assert len(run.silting.nodes) == len(run.pairs) == 2
+
+
+def test_two_stable_completions_are_a_theorem_violation(nak4, monkeypatch):
+    """With every Hom(-, -[1]) forced to vanish, both registered pairs of
+    items outside the nakayama4 start node that the Nakayama functor
+    fixes complete the start node less one orbit."""
+    run = walk_nu_stable(nak4)
+    start = run.nodes[0]
+    orbit = nu_orbits(run, start)[0]
+    assert find_stable_completion(run, start, orbit) is not None
+    monkeypatch.setattr(EnumerationResult, "hom_shift",
+                        lambda self, i, j, shift: 0)
+    # compatibility masks are kept per result, so a fresh result over the
+    # same registry is the one that reads the patched Hom
+    fresh = EnumerationResult(nak4, run.registry, run.nodes, run.edges,
+                              run.status)
+    with pytest.raises(TheoremViolationError):
+        find_stable_completion(fresh, start, orbit)
+
+
+def test_orbit_mutated_both_ways_is_a_theorem_violation(nak4, monkeypatch):
+    """Every orbit mutation of nakayama4 is a left one, seen as
+    Hom(y, x[1]) != 0 for each item x of the orbit and its image y.
+    Forcing Hom(-, x[1]) to vanish for one item x of the first orbit makes
+    that item look mutated to the right, and the walk must refuse it."""
+    run = walk_nu_stable(nak4)
+    x = max(nu_orbits(run, run.nodes[0])[0])
+    hom_shift = EnumerationResult.hom_shift
+    monkeypatch.setattr(
+        EnumerationResult, "hom_shift",
+        lambda self, i, j, shift: 0 if (j, shift) == (x, 1)
+        else hom_shift(self, i, j, shift))
+    with pytest.raises(TheoremViolationError, match="directions"):
+        walk_nu_stable(nak4)
+
+
+def test_orbit_mutation_off_the_stable_nodes_is_a_theorem_violation(
+        nak4, monkeypatch):
+    monkeypatch.setattr(EnumerationResult, "is_node_nu_stable",
+                        lambda self, node: False)
+    with pytest.raises(TheoremViolationError):
+        walk_nu_stable(nak4)
 
 
 @pytest.mark.parametrize("name", SELFINJECTIVE)

@@ -129,9 +129,10 @@ def test_disagreeing_nu_routes_are_a_theorem_violation(nak4, monkeypatch,
     if route == "stability":
         monkeypatch.setattr(PairEnumeration, "is_node_nu_stable",
                             lambda self, node: False)
-    elif route == "tilting":
+    elif route == "tilting":  # wrong on every node the walk visits
+        tilting = EnumerationResult.is_node_tilting
         monkeypatch.setattr(EnumerationResult, "is_node_tilting",
-                            lambda self, node: True)
+                            lambda self, node: not tilting(self, node))
     else:  # a stable pair's complement vertices, sent off themselves
         monkeypatch.setattr("tautilt.pairs.nakayama_permutation",
                             lambda alg: {v: 0 for v in range(
