@@ -27,6 +27,10 @@ import numpy as np
 from .errors import MixedEndpointsError, NonAdmissibleError
 from .field import PrimeField
 
+# the longest path length build_algebra tries before it calls the
+# relations non-admissible
+NILPOTENCY_CAP = 30
+
 
 @dataclass(frozen=True)
 class Arrow:
@@ -187,18 +191,18 @@ def _basis_and_canon(words, rr, piv, field) -> tuple:
     return [words[i] for i in nonpiv], y[:, nonpiv].copy()
 
 
-def build_algebra(quiver: Quiver, relations, field: PrimeField | None = None,
-                  nilpotency_cap: int = 30) -> "BoundQuiverAlgebra":
+def build_algebra(quiver: Quiver, relations,
+                  field: PrimeField | None = None) -> "BoundQuiverAlgebra":
     """Quotient of the path algebra of the quiver by the relations.
 
     Raises NonAdmissibleError when the quotient dimension has not
-    stabilised by the cap, i.e. the relations leave arbitrarily long
-    nonzero paths.
+    stabilised by path length NILPOTENCY_CAP, i.e. the relations leave
+    arbitrarily long nonzero paths.
     """
     field = field or PrimeField()
     rels = _normalise_relations(quiver, relations, field)
     prev = None
-    for level in range(2, nilpotency_cap + 2):
+    for level in range(2, NILPOTENCY_CAP + 2):
         words, rr, piv = _quotient_level(quiver, rels, field, level)
         dim = len(words) - len(piv)
         if prev is not None and prev[0] == dim:
@@ -208,7 +212,7 @@ def build_algebra(quiver: Quiver, relations, field: PrimeField | None = None,
                 *_basis_and_canon(pwords, prr, ppiv, field))
         prev = (dim, words, rr, piv, level)
     raise NonAdmissibleError(
-        f"quotient dimension still growing at path length {nilpotency_cap}; "
+        f"quotient dimension still growing at path length {NILPOTENCY_CAP}; "
         "the relations do not bound the algebra"
     )
 
@@ -280,12 +284,6 @@ class BoundQuiverAlgebra:
 
     def zero(self) -> np.ndarray:
         return np.zeros(self.dim, dtype=np.int64)
-
-    def one(self) -> np.ndarray:
-        x = self.zero()
-        for k in self._trivial.values():
-            x[k] = 1
-        return x
 
     def trivial_index(self, v: int) -> int:
         return self._trivial[v]

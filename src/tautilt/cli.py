@@ -219,7 +219,8 @@ def cmd_enumerate(args) -> int:
     block = functools.cache(lambda i: (items[i], differential_rows(items[i])))
     entries = []
     for pair, c, tilting, node in rows:
-        x = pair.module_sum()
+        dims = tuple(sum(m.dims[v] for m in pair.modules)
+                     for v in range(1, algebra.num_vertices + 1))
         if selfinj:
             stable = silting.is_node_nu_stable(node)
         else:
@@ -231,7 +232,7 @@ def cmd_enumerate(args) -> int:
             "nu_stable": stable,
             "tilting": tilting,
         }
-        entries.append(((x.total_dim, x.dim_vector(),
+        entries.append(((sum(dims), dims,
                          json.dumps(entry["complex"], separators=(",", ":"),
                                     sort_keys=True)), entry))
     entries.sort(key=lambda pe: pe[0])

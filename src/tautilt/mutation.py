@@ -462,15 +462,15 @@ def start_walk(algebra) -> EnumerationResult:
     return EnumerationResult(algebra, registry, [start], {}, "COMPLETE")
 
 
-def walk_from(result: EnumerationResult, start, cap: int) -> None:
-    """Breadth-first walk from start.  Each edge is looked up in
+def walk_from(result: EnumerationResult, cap: int) -> None:
+    """Breadth-first walk from result.nodes[0].  Each edge is looked up in
     result.edges, then in the registry; only an edge to an item not yet
     registered runs a mutation, which then registers it.  A node reached
     for the first time is appended to result.nodes.  The walk stops,
     setting result.status to TRUNCATED, at the first level that starts
     with more than cap nodes in result.nodes."""
     registry = result.registry
-    frontier = [start]
+    frontier = [result.nodes[0]]
     while frontier:
         if len(result.nodes) > cap:
             result.status = "TRUNCATED"
@@ -628,5 +628,5 @@ def enumerate_two_term_silting(algebra, cap: int = 10000) -> EnumerationResult:
     """Breadth-first walk of the whole mutation graph from the stalk of
     the algebra (walk_from).  The walk draws no random numbers."""
     result = start_walk(algebra)
-    walk_from(result, result.nodes[0], cap)
+    walk_from(result, cap)
     return result

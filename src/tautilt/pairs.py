@@ -25,12 +25,13 @@ permutes the node's tops.  The stable pairs come from a walk that visits
 only the stable nodes (mutation.walk_nu_stable), each checked by the same
 predicates.
 
-Several results carry a second, independently computed route, and any
-disagreement between routes raises TheoremViolationError: stability under
-the Nakayama functor against tilting complexes, and tau-minus predicates
-against duality over the opposite algebra.  The obstruction report for
-2-Calabi-Yau tilted algebras only ever rules an algebra out; a fully
-consistent report proves nothing.
+Stability under the Nakayama functor carries a second, independently
+computed route, the tilting complexes, and a disagreement raises
+TheoremViolationError.  Support tau-minus-tilting is decided by one
+route, Hom from tau-minus; its duality with support tau-tilting over the
+opposite algebra is checked by the tests, not on every call.  The
+obstruction report for 2-Calabi-Yau tilted algebras only ever rules an
+algebra out; a fully consistent report proves nothing.
 """
 
 from __future__ import annotations
@@ -124,10 +125,9 @@ class SummandTables:
     and confirmed once to be indecomposable or zero; Hom vanishing and
     isomorphism are tested once per ordered pair of modules.  One minimal
     presentation per module serves its translate and its Nakayama image,
-    and the presentation of its dual serves tau_minus of it and the
-    translate of the dual.  Hom and the functors are additive, so by
-    Krull-Schmidt every predicate of a sum of indecomposables is read off
-    these tables.  One instance may hold
+    and the presentation of its dual serves tau_minus of it.  Hom and the
+    functors are additive, so by Krull-Schmidt every predicate of a sum of
+    indecomposables is read off these tables.  One instance may hold
     modules over several algebras (the duals live over the opposite one).
     """
 
@@ -257,37 +257,37 @@ def is_nu_stable_pair(pair: STPair,
     tables = SummandTables() if tables is None else tables
     stable = tables.nu_fixed(pair.modules, [1] * len(pair.modules))
     if stable and is_support_tau_tilting_pair(pair, tables=tables):
-        if sorted(perm[v] for v in pair.pverts) != sorted(pair.pverts):
-            raise TheoremViolationError(
-                "stable module part with complement vertices not closed "
-                "under the Nakayama permutation"
-            )
+        _require_nu_closed(perm, pair.pverts)
     return stable
+
+
+def _require_nu_closed(perm: dict, pverts) -> None:
+    """Raise TheoremViolationError unless pverts, the complement of a stable
+    support tau-tilting pair, is closed under the Nakayama permutation."""
+    if sorted(perm[v] for v in pverts) != sorted(pverts):
+        raise TheoremViolationError(
+            "stable module part with complement vertices not closed "
+            "under the Nakayama permutation")
 
 
 def is_support_tau_minus_tilting(modules: list, algebra=None,
                                  tables: SummandTables | None = None) -> bool:
-    """Support tau-minus-tilting, computed directly and again through
-    duality over the opposite algebra; the routes must agree."""
+    """Whether the modules and their zero-support vertices count the
+    vertices (more raise ValueError, as make_pair does) and
+    Hom(tau_minus X_i, X_j) = 0 for all summands X_i, X_j.  The tests
+    check this against duality over the opposite algebra."""
     if algebra is None:
         if not modules:
             raise ValueError("an empty module list needs an explicit algebra")
         algebra = modules[0].algebra
+    zero_verts = [v for v in range(1, algebra.num_vertices + 1)
+                  if not any(m.dims[v] for m in modules)]
+    pair = make_pair(algebra, modules, zero_verts)
+    if len(pair.modules) + len(pair.pverts) != algebra.num_vertices:
+        return False
     tables = SummandTables() if tables is None else tables
-    pair = make_pair(algebra, modules, ())
-    zero_verts = tuple(v for v in range(1, algebra.num_vertices + 1)
-                       if not any(m.dims[v] for m in pair.modules))
-    count_ok = len(pair.modules) + len(zero_verts) == algebra.num_vertices
-    direct = count_ok and tables.hom_vanishes(
+    return tables.hom_vanishes(
         [tables.image(tau_minus, m) for m in pair.modules], pair.modules)
-    dpair = STPair(algebra.opposite(),
-                   tuple(tables.dual(m) for m in pair.modules), zero_verts)
-    via_dual = is_support_tau_tilting_pair(dpair, tables=tables)
-    if direct != via_dual:
-        raise TheoremViolationError(
-            "direct tau-minus route and duality route disagree"
-        )
-    return direct
 
 
 def summand_flags(algebra, classes: list, mults: list, pverts) -> dict:
@@ -489,11 +489,7 @@ def _nu_stable_enumeration(algebra, walk: EnumerationResult) -> PairEnumeration:
                 "stable-pair route, stable-complex route and tilting-complex "
                 "route disagree")
         if stable:
-            pverts = _add_pair(out, node).pverts
-            if sorted(perm[v] for v in pverts) != sorted(pverts):
-                raise TheoremViolationError(
-                    "stable module part with complement vertices not closed "
-                    "under the Nakayama permutation")
+            _require_nu_closed(perm, _add_pair(out, node).pverts)
     return out
 
 

@@ -15,7 +15,9 @@ lemma, the stable pairs come from filtering the whole silting walk, or
 from walking every node around each stable node, rather than from the
 orbit mutations of the walk over stable nodes, the support
 tau-minus-tilting modules come from a second walk over the opposite
-algebra rather than by counting, the opposite algebra is built again
+algebra rather than by counting, support tau-minus-tilting is tested
+through dual pairs over the opposite algebra rather than by tau-minus,
+the opposite algebra is built again
 from the reversed relations rather than relabelled, and minimal
 presentations come from a second projective cover rather than from the
 syzygy's top.  ext1_dim and is_nu_stable_module are not oracles but
@@ -1034,6 +1036,19 @@ def op_walk_converse(algebra, cap: int = 10000) -> tuple:
             tables=tables)
         for op_pair in op_enum.pairs)
     return op_enum.status, holds
+
+
+def dual_route_tau_minus(modules: list, algebra) -> bool:
+    """Support tau-minus-tilting through duality: the duals of the
+    modules, with their zero-support vertices as complement, form a support
+    tau-tilting pair over the opposite algebra (Adachi-Iyama-Reiten,
+    Compos. Math. 2014, Thm 2.14).  Raises ValueError, as the pair
+    constructor does, when they outnumber the vertices."""
+    zero_verts = tuple(v for v in range(1, algebra.num_vertices + 1)
+                       if not any(m.dims[v] for m in modules))
+    pair = STPair(algebra.opposite(), tuple(dual(m) for m in modules),
+                  zero_verts)
+    return is_support_tau_tilting_pair(pair)
 
 
 # -- preprojective algebras of type D and their Weyl groups ----------------------
