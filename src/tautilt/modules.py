@@ -655,6 +655,8 @@ def _indec_iso(m: Rep, n: Rep) -> bool:
     """Isomorphism test for indecomposables via the trace pairing: any
     composite through a non-isomorphism is nilpotent and traceless, while
     an isomorphism pairs with its inverse to the total dimension."""
+    if m is n:
+        return not m.is_zero()
     if m.dim_vector() != n.dim_vector():
         return False
     fs = hom_basis(m, n)

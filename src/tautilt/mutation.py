@@ -45,8 +45,8 @@ without the whole graph: walk_nu_stable visits only them, stepping from
 each stable node by tilting mutation at each orbit of the Nakayama functor
 on its items (Aihara-Iyama, J. LMS 2012), on the same registry and
 tables.  The neighbour is looked up as the one union of candidate orbits
-compatible with the rest of the node, and only when the registry does not
-hold it yet is each item of the orbit mutated.
+compatible with the rest of the node; only when it is not registered is
+one item mutated, and the result carried round the orbit by the functor.
 """
 
 from __future__ import annotations
@@ -564,21 +564,25 @@ def find_stable_completion(result: EnumerationResult, node,
 
 
 def _mutate_orbit(result: EnumerationResult, node, orbit) -> frozenset:
-    """Tilting mutation of the stable node at the orbit: each of its items
-    mutated at node - orbit (mutate_summand), the results registered.  The
-    left mutation of the whole orbit is the sum of its items' left
-    mutations, and likewise on the right, so every item must go one way.
-    A left mutation x -> Q' -> y -> x[1] has a nonzero connecting map, so
-    Hom(y, x[1]) != 0, while a right one, y -> Q' -> x -> y[1], leaves
-    Hom(y, x[1]) = 0 because y is compatible with Q'.  The new node must
-    keep the item count and be stable (Aihara-Iyama, J. LMS 2012), or a
-    TheoremViolationError is raised."""
+    """Tilting mutation of the stable node at the orbit: its least item x
+    is mutated at node - orbit (mutate_summand) and the result y carried
+    round the orbit, nu^k y standing for the mutation of nu^k x, since the
+    Nakayama functor is a triangle autoequivalence fixing add(node - orbit)
+    (Aihara-Iyama, J. LMS 2012).  The left mutation of the whole orbit is
+    the sum of its items' left mutations, and likewise on the right, so
+    every item must go one way.  A left mutation x -> Q' -> y -> x[1] has
+    a nonzero connecting map, so Hom(y, x[1]) != 0, while a right one,
+    y -> Q' -> x -> y[1], leaves Hom(y, x[1]) = 0 because y is compatible
+    with Q'.  The new node must keep the item count and be stable, which
+    confirms nu^|orbit| y = y, or a TheoremViolationError is raised."""
     registry = result.registry
     rest = [registry.items[q] for q in sorted(node - orbit)]
+    x = min(orbit)
+    y = registry.get_or_insert(mutate_summand(
+        registry.items[x], rest, _maps=result._maps))
     ys = {}
-    for x in sorted(orbit):
-        ys[x] = registry.get_or_insert(mutate_summand(
-            registry.items[x], rest, _maps=result._maps))
+    for _ in orbit:
+        ys[x], x, y = y, result.nu_id(x), result.nu_id(y)
     if len({result.hom_shift(y, x, 1) != 0 for x, y in ys.items()}) > 1:
         raise TheoremViolationError(
             "the items of one orbit mutate in different directions")
@@ -597,13 +601,13 @@ def walk_nu_stable(algebra, cap: int = 10000) -> EnumerationResult:
     algebra, and each orbit X of the Nakayama functor on its items, the
     neighbour is the tilting mutation of T at X, which exchanges X for
     another set of items the Nakayama functor fixes (Aihara-Iyama, J. LMS
-    2012): looked up in the registry first (find_stable_completion), and
-    computed by mutating each item of X only when it is not registered
-    yet.  That these exchanges reach every stable node is checked against
-    the whole walk by the tests.  result.nodes holds the stable nodes in
-    the order found, and result.edges[T][X] the neighbour, recorded both
-    ways.  cap bounds the count of stable nodes found, checked before each
-    node is expanded; the walk stops TRUNCATED when it is exceeded."""
+    2012): looked up in the registry first (find_stable_completion), else
+    computed from one item of X (_mutate_orbit).  That these exchanges
+    reach every stable node is checked against the whole walk by the
+    tests.  result.nodes holds the stable nodes in the order found, and
+    result.edges[T][X] the neighbour, recorded both ways.  cap bounds the
+    count of stable nodes found, checked before each node is expanded;
+    the walk stops TRUNCATED when it is exceeded."""
     result = start_walk(algebra)
     for node in result.nodes:  # grows as stable nodes are found
         if len(result.nodes) > cap:

@@ -17,13 +17,13 @@ when its Hom(X_i, tau X_j) table vanishes, and stable when the Nakayama
 functor permutes its classes.  The enumerations share one table across
 all nodes: each registry item's cokernel (its "top", kept in
 PairEnumeration.tops) is one module object, checked once to be
-indecomposable and not isomorphic to another top.  A node's predicates
-are then bitmask tests over registry ids: tau-rigidity is an AND of
-per-top masks of vanishing Hom(top_i, tau top_j), and stability asks
-whether the Nakayama functor, matched once per top to another top,
-permutes the node's tops.  The stable pairs come from a walk that visits
-only the stable nodes (mutation.walk_nu_stable), each checked by the same
-predicates.
+indecomposable and not isomorphic to another top, whose minimal
+presentation is the item itself.  A node's predicates are then bitmask
+tests over registry ids: tau-rigidity is an AND of per-top masks of
+vanishing Hom(top_i, tau top_j), and stability asks whether the Nakayama
+functor, matched once per top to another top, permutes the node's tops.
+The stable pairs come from a walk that visits only the stable nodes
+(mutation.walk_nu_stable), each checked by the same predicates.
 
 Stability under the Nakayama functor carries a second, independently
 computed route, the tilting complexes, and a disagreement raises
@@ -124,10 +124,10 @@ class SummandTables:
     The translates and the Nakayama image of each module are computed once
     and confirmed once to be indecomposable or zero; Hom vanishing and
     isomorphism are tested once per ordered pair of modules.  One minimal
-    presentation per module serves its translate and its Nakayama image,
-    and the presentation of its dual serves tau_minus of it.  Hom and the
-    functors are additive, so by Krull-Schmidt every predicate of a sum of
-    indecomposables is read off these tables.  One instance may hold
+    presentation per module (for a top, its registry item) serves its
+    translate and Nakayama image, and that of its dual tau_minus.  Hom and
+    the functors are additive, so by Krull-Schmidt every predicate of a sum
+    of indecomposables is read off these tables.  One instance may hold
     modules over several algebras (the duals live over the opposite one).
     """
 
@@ -424,10 +424,14 @@ class PairEnumeration:
 def _pair_enumeration(algebra, enum: EnumerationResult) -> PairEnumeration:
     """A PairEnumeration of the walk enum with no pairs yet: the tops of
     its registry items, each checked once to be indecomposable and not
-    isomorphic to another top."""
+    isomorphic to another top, and presented by its item, which is its
+    minimal presentation (Adachi-Iyama-Reiten 2014, Thm 3.2); else tau of
+    the top would have an injective summand, refused by tables.image."""
     tops = [item.h0() if item.deg0 else None for item in enum.registry.items]
     modules = [m for m in tops if m is not None]
     tables = SummandTables()
+    tables._presentations.update((m, (c.deg1, c.deg0, c.d)) for c, m in zip(
+        enum.registry.items, tops) if m is not None)
     if not all(is_indecomposable(m) and not any(
             tables.iso(m, other) for other in modules[:k])
             for k, m in enumerate(modules)):

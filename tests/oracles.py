@@ -13,7 +13,9 @@ through their cokernels, modules are split by idempotents
 from a factorised minimal polynomial (sympy) rather than by Fitting's
 lemma, the stable pairs come from filtering the whole silting walk, or
 from walking every node around each stable node, rather than from the
-orbit mutations of the walk over stable nodes, the support
+orbit mutations of the walk over stable nodes, an orbit mutation mutates
+every item of the orbit rather than one carried round by the Nakayama
+functor, the support
 tau-minus-tilting modules come from a second walk over the opposite
 algebra rather than by counting, support tau-minus-tilting is tested
 through dual pairs over the opposite algebra rather than by tau-minus,
@@ -623,6 +625,26 @@ def universal_mutation(x, q_reps: list):
               if g_vector_key(s) not in fixed]
     assert g_vector_key(new) != g_vector_key(x)
     return new
+
+
+def per_item_orbit_mutation(result, node, orbit, maps) -> dict:
+    """Tilting mutation of the stable node at an orbit of the Nakayama
+    functor with every item x of the orbit mutated at node - orbit on its
+    own (mutate_summand), rather than one item mutated and the result
+    carried round the orbit.  maps is a mutation._PairMaps other than the
+    walk's, so no Hom the walk kept is read.  Returns {x: its mutation},
+    unregistered.  Every item must go one way: Hom(y, x[1]) of each x and
+    its own mutation y is nonzero for all of them or for none, or
+    TheoremViolationError is raised."""
+    from tautilt.complexes import hom_dim
+
+    items = result.registry.items
+    rest = [items[q] for q in sorted(node - orbit)]
+    ys = {x: mutate_summand(items[x], rest, _maps=maps) for x in sorted(orbit)}
+    if len({hom_dim(y, items[x], 1) != 0 for x, y in ys.items()}) > 1:
+        raise TheoremViolationError(
+            "the items of one orbit mutate in different directions")
+    return ys
 
 
 def scan_completion(result, node, x: int):

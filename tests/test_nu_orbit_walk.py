@@ -8,15 +8,20 @@ another walks every node that contains a stable node less one orbit
 and the complex printed for a pair must be isomorphic to the whole
 walk's.  The paper's third description of the same objects, stable
 functorially finite torsion classes (Fac M = Fac of its Nakayama image),
-is checked against node stability on every node."""
+is checked against node stability on every node.  Each orbit mutation
+is checked against mutating every item of the orbit on its own
+(oracles.per_item_orbit_mutation)."""
 
 import pytest
 
-from tautilt.complexes import complexes_isomorphic
+from tautilt.complexes import complexes_isomorphic, isomorphic_by_top_trace
 from tautilt.errors import TheoremViolationError
 from tautilt.mutation import (
     EnumerationResult,
+    _PairMaps,
     find_stable_completion,
+    g_vector_key,
+    mutate_summand,
     nu_orbits,
     walk_nu_stable,
 )
@@ -39,6 +44,8 @@ def algebra_of(request, algebras):
         "pa5": lambda: parse_algebra_text(algebras.preprojective(5)),
         "pd4": lambda: parse_algebra_text(oracles.preprojective_d(4)),
         "n66": lambda: parse_algebra_text(algebras.nakayama(6, 6)),
+        "n53": lambda: parse_algebra_text(algebras.nakayama(5, 3)),
+        "n65": lambda: parse_algebra_text(algebras.nakayama(6, 5)),
     }
     cache = {}
 
@@ -128,6 +135,46 @@ def test_orbit_mutation_off_the_stable_nodes_is_a_theorem_violation(
                         lambda self, node: False)
     with pytest.raises(TheoremViolationError):
         walk_nu_stable(nak4)
+
+
+@pytest.mark.parametrize("name", SELFINJECTIVE + ["n53", "n65"])
+def test_orbit_edges_match_the_per_item_mutations(orbit_run, name):
+    """The walk mutates the least item of an orbit and carries the result
+    round the orbit with the Nakayama functor.  For every orbit edge it
+    records, mutating each item of the orbit on its own must give the
+    edge's new items, matched by g-vector and confirmed by the top-trace
+    pairing.  On N(5,3) and N(6,5) the Nakayama permutation has order 5
+    and 3."""
+    run = orbit_run(name).silting
+    items = run.registry.items
+    maps = _PairMaps()
+    for node, fan in run.edges.items():
+        for orbit, new_node in fan.items():
+            new = {g_vector_key(items[i]): i for i in new_node - node}
+            ys = oracles.per_item_orbit_mutation(run, node, orbit, maps)
+            assert len(new) == len(ys) == len(orbit), name
+            for y in ys.values():
+                assert g_vector_key(y) in new, name
+                assert isomorphic_by_top_trace(items[new[g_vector_key(y)]],
+                                               y), name
+            assert {g_vector_key(y) for y in ys.values()} == set(new), name
+
+
+def test_orbit_mutation_mutates_one_item_per_orbit(algebra_of, monkeypatch):
+    """One mutate_summand call per orbit mutation: 9 on nakayama6, 4 on
+    N(6,5) and 1 on N(5,3), where mutating every item of each orbit made
+    18, 12 and 5."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return mutate_summand(*args, **kwargs)
+
+    monkeypatch.setattr("tautilt.mutation.mutate_summand", counting)
+    for name, count in (("nak6", 9), ("n65", 4), ("n53", 1)):
+        calls.clear()
+        walk_nu_stable(algebra_of(name))
+        assert len(calls) == count, name
 
 
 @pytest.mark.parametrize("name", SELFINJECTIVE)

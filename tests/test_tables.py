@@ -6,17 +6,22 @@ differential and the coordinate spaces each algebra keeps per pair of
 vertex tuples; the oracle builds both on every call, as the package did
 before.  The enumerations read per-node predicates as bitmask tests over
 per-item facts; the public per-pair predicates compute them from the
-pair."""
+pair.  The enumerations present each top by its registry item; the
+module route presents it by minimal_presentation."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tautilt.complexes import chain_maps_mod_homotopy, hom_dim
+from tautilt.complexes import TwoTermComplex, chain_maps_mod_homotopy, hom_dim
 from tautilt.errors import TheoremViolationError
+from tautilt.modules import _indec_iso
 from tautilt.mutation import EnumerationResult, enumerate_two_term_silting
 from tautilt.pairs import (
     PairEnumeration,
     SummandTables,
+    _pair_enumeration,
     enumerate_nu_stable,
     enumerate_support_tau_tilting,
     is_nu_stable_pair,
@@ -24,7 +29,7 @@ from tautilt.pairs import (
     make_pair,
 )
 from tautilt.textio import parse_algebra_text
-from tautilt.translate import is_selfinjective
+from tautilt.translate import is_selfinjective, nu_module, tau
 
 import oracles
 
@@ -139,3 +144,47 @@ def test_disagreeing_nu_routes_are_a_theorem_violation(nak4, monkeypatch,
                                 1, alg.num_vertices + 1)})
     with pytest.raises(TheoremViolationError):
         enumerate_nu_stable(nak4)
+
+
+@pytest.mark.parametrize("name", ["a2", "witness", "kronecker", "nak4",
+                                  "nak6", "one_vertex", "prep3", "n65"])
+def test_tops_presented_by_their_items(request, algebras, name):
+    """Each top's translate and Nakayama image are read from its registry
+    item (an indecomposable presilting complex with nonzero H^0 is the
+    minimal presentation of its top); they must be isomorphic to those
+    of the module route."""
+    if name == "n65":
+        alg = parse_algebra_text(algebras.nakayama(6, 5))
+    else:
+        alg = request.getfixturevalue(name)
+    pe = enumerate_support_tau_tilting(alg, cap=10)
+    functors = [tau, nu_module] if is_selfinjective(alg) else [tau]
+    items = pe.silting.registry.items
+    for item, top in zip(items, pe.tops):
+        if top is None:
+            continue
+        assert pe.tables._presentations[top][2] is item.d, name
+        for functor in functors:
+            a, b = pe.tables.image(functor, top), functor(top)
+            assert a.is_zero() == b.is_zero(), name
+            assert a.is_zero() or _indec_iso(a, b), name
+
+
+def test_non_minimal_item_is_refused(nak4):
+    """A zero column added to an item's differential, a summand P(v)[1],
+    presents the same top, but not minimally: tau of the top gains the
+    injective I(v), and SummandTables.image refuses the decomposable
+    translate."""
+    walk = enumerate_two_term_silting(nak4)
+    items = list(walk.registry.items)
+    i = next(i for i, c in enumerate(items) if c.deg1 and c.deg0)
+    c = items[i]
+    d = np.zeros((len(c.deg0), len(c.deg1) + 1, nak4.dim), dtype=np.int64)
+    d[:, :-1] = c.d
+    items[i] = TwoTermComplex(nak4, c.deg1 + (1,), c.deg0, d)
+    pe = _pair_enumeration(nak4, walk)
+    assert not pe.tables.image(tau, pe.tops[i]).is_zero()
+    padded = _pair_enumeration(nak4, SimpleNamespace(
+        registry=SimpleNamespace(items=items), status=walk.status))
+    with pytest.raises(TheoremViolationError, match="decomposable"):
+        padded.tables.image(tau, padded.tops[i])

@@ -120,6 +120,27 @@ def test_module_expr_string_names(nak6, nak4):
     assert module_expr_string(tau(simple(nak4, 1))) == "S(2)"
 
 
+def test_module_expr_string_of_a_projective_builds_no_self_hom(nak6,
+                                                              monkeypatch):
+    """Naming the cached P(1) compares it with itself; a nonzero module is
+    isomorphic to itself without a Hom basis from it to itself."""
+    from tautilt import modules
+
+    m = projective(nak6, 1)
+    seen = []
+    hom_basis = modules.hom_basis
+
+    def recording(a, b, *args, **kwargs):
+        seen.append((a, b))
+        return hom_basis(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(modules, "hom_basis", recording)
+    assert module_expr_string(m) == "P(1)"
+    assert not [pair for pair in seen if pair[0] is m and pair[1] is m]
+    zero = modules.zero_module(nak6)
+    assert not modules._indec_iso(zero, zero)
+
+
 def test_complex_json_and_canonical_string(nak4):
     from tautilt.complexes import presentation_complex
 
