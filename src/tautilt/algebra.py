@@ -396,14 +396,6 @@ class BoundQuiverAlgebra:
         out[rows] = self.field.matmul(values, right[cols])
         return out.reshape(r, d, c).transpose(0, 2, 1)
 
-    def left_mult_matrix(self, x: np.ndarray, rows, cols) -> np.ndarray:
-        """Matrix of (basis word b -> x * b) from span(rows) to span(cols)."""
-        x = self.field.reduce(x)
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        sub = self.mult_table[:, rows][:, :, cols]
-        return np.einsum("k,krc->rc", x, sub) % self.field.p
-
     def is_local_unit(self, x: np.ndarray, v: int) -> bool:
         """Whether x, known to lie in e_v A e_v, is a unit there."""
         return int(x[self._trivial[v]]) % self.field.p != 0

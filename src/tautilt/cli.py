@@ -173,27 +173,27 @@ def cmd_phi(args) -> int:
         raise NotSupportTauTiltingError("the module part is not basic")
     pair = make_pair(algebra, classes, pverts)
     c = pair_to_complex(pair)
+    body = complex_json([(c, differential_rows(c))])
     if args.json:
         print(json.dumps({"algebra": algebra_json(algebra),
-                          "complex": complex_json(c)}, indent=2))
+                          "complex": body}, indent=2))
     else:
         print("deg -1: " + (" + ".join(f"P({v})" for v in sorted(c.deg1)) or "0"))
         print("deg  0: " + (" + ".join(f"P({v})" for v in sorted(c.deg0)) or "0"))
         print("differential (rows act on deg -1 summands):")
-        body = complex_json(c)["differential"]
-        for row in body:
+        for row in body["differential"]:
             print("  [" + ", ".join(row) + "]")
     return 0
 
 
 def _enumeration_entries(algebra, args):
-    """(status, list of (pair, complex)) for the requested filter."""
+    """(status, silting walk, list of (pair, tilting, node), selfinjective)
+    for the requested filter."""
     selfinj = is_selfinjective(algebra)
     if args.filter == "nu-stable":
         pe = enumerate_nu_stable(algebra, args.cap)
         withnodes = sorted(pe.node_index.items(), key=lambda kv: kv[1])
-        rows = [(pe.pairs[idx], pe.silting.node_complex(node), True, node)
-                for node, idx in withnodes]
+        rows = [(pe.pairs[idx], True, node) for node, idx in withnodes]
         return pe.status, pe.silting, rows, selfinj
     pe = enumerate_support_tau_tilting(algebra, args.cap)
     rows = []
@@ -201,8 +201,7 @@ def _enumeration_entries(algebra, args):
         tilting = pe.silting.is_node_tilting(node)
         if args.filter == "tilting" and not tilting:
             continue
-        rows.append((pe.pairs[idx], pe.silting.node_complex(node), tilting,
-                     node))
+        rows.append((pe.pairs[idx], tilting, node))
     return pe.status, pe.silting, rows, selfinj
 
 
@@ -213,12 +212,13 @@ def cmd_enumerate(args) -> int:
             "the nu-stable filter needs a selfinjective algebra")
     status, silting, rows, selfinj = _enumeration_entries(algebra, args)
     # the pairs share one module object per registry item, and each node's
-    # complex is the sum of its items in id order
+    # complex is the sum of its items in id order, printed from the items'
+    # differentials formatted once each
     expr = functools.cache(module_expr_string)
     items = silting.registry.items
     block = functools.cache(lambda i: (items[i], differential_rows(items[i])))
     entries = []
-    for pair, c, tilting, node in rows:
+    for pair, tilting, node in rows:
         dims = tuple(sum(m.dims[v] for m in pair.modules)
                      for v in range(1, algebra.num_vertices + 1))
         if selfinj:
@@ -228,7 +228,7 @@ def cmd_enumerate(args) -> int:
         entry = {
             "modules": [expr(m) for m in pair.modules],
             "projective_vertices": sorted(pair.pverts),
-            "complex": complex_json(c, [block(i) for i in sorted(node)]),
+            "complex": complex_json([block(i) for i in sorted(node)]),
             "nu_stable": stable,
             "tilting": tilting,
         }

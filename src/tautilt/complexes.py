@@ -43,14 +43,12 @@ import numpy as np
 from .errors import NotSelfinjectiveError, TheoremViolationError
 from .modules import (
     Rep,
-    RepMap,
     _pairing_matrix,
     are_isomorphic,
     decompose,
-    elements_to_repmap,
     iso_classes,
     minimal_presentation,
-    quotient_rep,
+    presented_module,
 )
 from .translate import nu_element, selfinjective_data
 
@@ -101,15 +99,10 @@ class TwoTermComplex:
         t.flags.writeable = False
         return t
 
-    def expand(self) -> RepMap:
-        """The differential as a map of actual projective modules."""
-        return elements_to_repmap(self.algebra, list(self.deg1),
-                                  list(self.deg0), self.d)
-
     def h0(self) -> Rep:
-        f = self.expand()
-        quo, _ = quotient_rep(f.tgt, {v: f.blocks[v] for v in f.blocks})
-        return quo
+        """The cokernel of the differential, the module the complex
+        presents (modules.presented_module)."""
+        return presented_module(self.algebra, self.deg1, self.deg0, self.d)
 
 
 def projective_stalk(algebra, verts, shifted: bool = False) -> TwoTermComplex:

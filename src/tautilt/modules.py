@@ -6,12 +6,13 @@ arrow a: s -> t the matrix has shape (dim_s, dim_t) and acts on row vectors
 by right multiplication, so the action of a path is the product of its
 arrow matrices in path order.
 
-Maps between projective modules are handled in two interchangeable forms:
-as RepMap (matrices per vertex) and as matrices of algebra elements.  A map
-from the projective at vertex i to the projective at vertex j is left
-multiplication by an element of e_j A e_i, and a map of finite sums is an
-element matrix indexed (target summand, source summand) so that composition
-is the ordinary matrix product over the algebra.
+Maps between projective modules are handled in one form, as matrices of
+algebra elements.  A map from the projective at vertex i to the projective
+at vertex j is left multiplication by an element of e_j A e_i, and a map
+of finite sums is an element matrix indexed (target summand, source
+summand) so that composition is the ordinary matrix product over the
+algebra.  presented_module takes such a matrix straight to its cokernel,
+the module it presents.
 
 A block with a zero side is never eliminated: loops over vertices and
 arrows skip zero vertex spaces, and Hom systems have unknowns only where
@@ -537,29 +538,34 @@ def minimal_presentation(m: Rep) -> tuple:
     return [v for v, _ in gens], verts0, e
 
 
-def elements_to_repmap(algebra, src_verts: list, tgt_verts: list,
-                       e: np.ndarray) -> RepMap:
-    """Realise an element matrix as a map of projective sums on the path
-    basis: entry (r, c) acts by left multiplication from the c-th source
-    summand to the r-th target summand."""
-    field = algebra.field
-    src, soff = projective_sum(algebra, src_verts)
-    tgt, toff = projective_sum(algebra, tgt_verts)
-    blocks = {u: field.zeros(src.dims[u], tgt.dims[u]) for u in src.dims}
-    for c, sv in enumerate(src_verts):
-        for r, tv in enumerate(tgt_verts):
-            x = e[r, c]
-            if not x.any():
-                continue
-            for u in src.dims:
-                rows_sl = algebra.slice_indices(sv, u)
-                cols_sl = algebra.slice_indices(tv, u)
-                if not rows_sl or not cols_sl:
-                    continue
-                blk = algebra.left_mult_matrix(x, rows_sl, cols_sl)
-                blocks[u][soff[c][u]:soff[c][u] + len(rows_sl),
-                          toff[r][u]:toff[r][u] + len(cols_sl)] = blk
-    return RepMap(src, tgt, blocks)
+def presented_module(algebra, verts1: list, verts0: list,
+                     e: np.ndarray) -> Rep:
+    """The cokernel of the map from the sum of the P(verts1[c]) to the sum
+    of the P(verts0[r]) whose entry (r, c) is left multiplication by
+    e[r, c], on the path basis of projective_sum(algebra, verts0).
+
+    The images of the source's basis paths are one gather from
+    algebra.left_table(e), with both path bases in projective_sum order
+    (_path_basis); the gathered matrix is cut at each vertex into the rows
+    that quotient_rep divides out."""
+    n = algebra.num_vertices
+    s_end, s_sum, s_word = _path_basis(algebra, verts1)
+    t_end, t_sum, t_word = _path_basis(algebra, verts0)
+    images = algebra.left_table(e)[t_sum, s_sum[:, None], s_word[:, None],
+                                   t_word]
+    s_cut = np.searchsorted(s_end, np.arange(n + 1))
+    t_cut = np.searchsorted(t_end, np.arange(n + 1))
+    rows = {v: images[s_cut[v - 1]:s_cut[v], t_cut[v - 1]:t_cut[v]]
+            for v in range(1, n + 1)}
+    return quotient_rep(projective_sum(algebra, verts0)[0], rows)[0]
+
+
+def _path_basis(algebra, verts: list) -> tuple:
+    """(end vertex - 1, summand, word) arrays listing the path basis of
+    projective_sum(algebra, verts) in its order: by end vertex, then by
+    summand, then by word."""
+    mask = algebra.slice_mask(verts, range(1, algebra.num_vertices + 1))
+    return np.nonzero(mask.transpose(1, 0, 2))
 
 
 # -- decomposition -----------------------------------------------------------

@@ -93,19 +93,24 @@ class STPair:
     pverts: tuple
 
     def __post_init__(self):
-        n = self.algebra.num_vertices
-        if len(set(self.pverts)) != len(self.pverts):
-            raise ValueError("complement vertices repeat")
-        for v in self.pverts:
-            if not 1 <= v <= n:
-                raise ValueError(f"vertex {v} out of range")
-        if len(self.modules) + len(self.pverts) > n:
+        _check_pverts(self.algebra, self.pverts)
+        if len(self.modules) + len(self.pverts) > self.algebra.num_vertices:
             raise ValueError("more summands than the algebra has vertices")
 
     def module_sum(self) -> Rep:
         if not self.modules:
             return zero_module(self.algebra)
         return direct_sum(self.algebra, list(self.modules))[0]
+
+
+def _check_pverts(algebra, pverts):
+    """Raise ValueError unless the complement vertices are distinct
+    vertices of the algebra; the least bad vertex is named."""
+    if len(set(pverts)) != len(pverts):
+        raise ValueError("complement vertices repeat")
+    for v in sorted(pverts):
+        if not 1 <= v <= algebra.num_vertices:
+            raise ValueError(f"vertex {v} out of range")
 
 
 def make_pair(algebra, modules, pverts) -> STPair:
@@ -294,9 +299,11 @@ def summand_flags(algebra, classes: list, mults: list, pverts) -> dict:
     """The five check flags of the module sum of classes[i] taken
     mults[i] times, with complement vertices pverts.  The classes must be
     pairwise non-isomorphic indecomposables; every flag is read off one
-    SummandTables.  nu-stable is None off selfinjective algebras.  A basic
-    module with more classes than fit beside its zero-support vertices
-    raises ValueError, as the pair constructors do."""
+    SummandTables.  nu-stable is None off selfinjective algebras.  Repeated
+    or out-of-range complement vertices raise ValueError before any flag
+    is computed, and so does a basic module with more classes than fit
+    beside its zero-support vertices, as the pair constructors do."""
+    _check_pverts(algebra, pverts)
     tables = SummandTables()
     basic = all(k == 1 for k in mults)
     pair = None

@@ -304,15 +304,22 @@ def _rep_literal(algebra, body: str) -> Rep:
         except (SyntaxError, ValueError) as exc:
             raise ParseError(f"bad literal in {stmt!r}") from exc
         if head == "dims":
+            if dims is not None:
+                raise ParseError("rep literal repeats key 'dims'")
             dims = literal
         elif head.startswith("arrow "):
-            maps[head[len("arrow "):].strip()] = literal
+            name = head[len("arrow "):].strip()
+            if name in maps:
+                raise ParseError(f"rep literal repeats key 'arrow {name}'")
+            maps[name] = literal
         else:
             raise ParseError(f"unknown rep key {head!r}")
     n = algebra.num_vertices
     if not isinstance(dims, (list, tuple)) or len(dims) != n or any(
             type(d) is not int for d in dims):
         raise ParseError("rep literal needs dims with one integer per vertex")
+    if any(d < 0 for d in dims):
+        raise ParseError(f"rep literal key 'dims' has a negative entry: {dims}")
     p = algebra.field.p
     dim_map = dict(enumerate(dims, start=1))
     rep_maps = {}
@@ -426,28 +433,27 @@ def differential_rows(c) -> list:
     return [[alg.format_element(entry) for entry in row] for row in c.d]
 
 
-def complex_json(c, blocks=None) -> dict:
-    """JSON body of a complex.  Summands are listed per vertex, so the
-    differential is permuted into vertex order to keep its indexing
-    consistent with the multiplicity vectors.  When c is a direct sum
-    whose summands' differentials are already formatted, blocks gives
-    them in the order of the sum, as (summand, differential_rows of it),
-    and the entries off the blocks are "0"."""
-    alg = c.algebra
-    if blocks is None:
-        blocks = [(c, differential_rows(c))]
-    full = [["0"] * len(c.deg1) for _ in c.deg0]
+def complex_json(blocks) -> dict:
+    """JSON body of the direct sum of the complexes in blocks, given in
+    the order of the sum as (summand, differential_rows of it); the
+    entries off the blocks are "0".  Summands are listed per vertex, so
+    the differential is permuted into vertex order to keep its indexing
+    consistent with the multiplicity vectors."""
+    n = blocks[0][0].algebra.num_vertices
+    deg1 = [v for part, _ in blocks for v in part.deg1]
+    deg0 = [v for part, _ in blocks for v in part.deg0]
+    full = [["0"] * len(deg1) for _ in deg0]
     r0 = c0 = 0
     for part, rows in blocks:
         for r, row in enumerate(rows):
             full[r0 + r][c0:c0 + len(part.deg1)] = row
         r0 += len(part.deg0)
         c0 += len(part.deg1)
-    cols = sorted(range(len(c.deg1)), key=lambda k: c.deg1[k])
-    rows = sorted(range(len(c.deg0)), key=lambda k: c.deg0[k])
+    cols = sorted(range(len(deg1)), key=lambda k: deg1[k])
+    rows = sorted(range(len(deg0)), key=lambda k: deg0[k])
     return {
-        "m1": multiplicity_vector(c.deg1, alg.num_vertices),
-        "m0": multiplicity_vector(c.deg0, alg.num_vertices),
+        "m1": multiplicity_vector(deg1, n),
+        "m0": multiplicity_vector(deg0, n),
         "differential": [[full[r][col] for col in cols] for r in rows],
     }
 

@@ -28,19 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotSelfinjectiveError, TheoremViolationError
-from .modules import (
-    Rep,
-    dual,
-    elements_to_repmap,
-    minimal_presentation,
-    quotient_rep,
-)
-
-
-def cokernel(f) -> Rep:
-    rows = {v: f.blocks[v] for v in f.blocks}
-    quo, _ = quotient_rep(f.tgt, rows)
-    return quo
+from .modules import Rep, dual, minimal_presentation, presented_module
 
 
 def transpose(m: Rep) -> Rep:
@@ -49,11 +37,13 @@ def transpose(m: Rep) -> Rep:
 
 
 def _transpose_of(alg, presentation) -> Rep:
-    """Transpose of the module with the given minimal presentation."""
+    """Transpose of the module with the given minimal presentation
+    P(verts1) -> P(verts0): the module over the opposite algebra presented
+    by the transposed element matrix, from the sum of the P(verts0) to the
+    sum of the P(verts1)."""
     verts1, verts0, e = presentation
-    induced = elements_to_repmap(alg.opposite(), verts0, verts1,
-                                 e.transpose(1, 0, 2))
-    return cokernel(induced)
+    return presented_module(alg.opposite(), verts0, verts1,
+                            e.transpose(1, 0, 2))
 
 
 def tau(m: Rep) -> Rep:
@@ -152,10 +142,11 @@ def nu_module(m: Rep) -> Rep:
 
 
 def _nu_module_of(alg, presentation) -> Rep:
-    """Nakayama image of the module with the given minimal presentation."""
+    """Nakayama image of the module with the given minimal presentation:
+    the module presented by its image under nu, with each vertex moved by
+    the Nakayama permutation and each entry by nu_element."""
     perm, _ = selfinjective_data(alg)
     verts1, verts0, e = presentation
-    induced = elements_to_repmap(alg, [perm[v] for v in verts1],
-                                 [perm[v] for v in verts0], nu_element(alg, e))
-    return cokernel(induced)
+    return presented_module(alg, [perm[v] for v in verts1],
+                            [perm[v] for v in verts0], nu_element(alg, e))
 

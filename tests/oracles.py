@@ -20,9 +20,12 @@ tau-minus-tilting modules come from a second walk over the opposite
 algebra rather than by counting, support tau-minus-tilting is tested
 through dual pairs over the opposite algebra rather than by tau-minus,
 the opposite algebra is built again
-from the reversed relations rather than relabelled, and minimal
+from the reversed relations rather than relabelled, minimal
 presentations come from a second projective cover rather than from the
-syzygy's top.  ext1_dim and is_nu_stable_module are not oracles but
+syzygy's top, and a map of projective sums given by an element matrix is
+realised one entry, one vertex and one pair of slices at a time
+(elements_to_repmap) rather than presented by one gather
+(modules.presented_module).  ext1_dim and is_nu_stable_module are not oracles but
 module functions that only the tests call.
 """
 
@@ -51,7 +54,6 @@ from tautilt.modules import (
     decompose,
     direct_sum,
     dual,
-    elements_to_repmap,
     hom_basis,
     injective,
     minimal_presentation,
@@ -375,6 +377,33 @@ def percall_element_matmul(alg, a, b) -> np.ndarray:
 # -- element matrices of maps between projective sums ---------------------------
 
 
+def elements_to_repmap(algebra, src_verts: list, tgt_verts: list,
+                       e: np.ndarray) -> RepMap:
+    """Realise an element matrix as a map of projective sums on the path
+    basis, one entry, one vertex and one pair of slices at a time: entry
+    (r, c) acts by left multiplication from the c-th source summand to the
+    r-th target summand, read off the full multiplication table."""
+    field = algebra.field
+    src, soff = projective_sum(algebra, src_verts)
+    tgt, toff = projective_sum(algebra, tgt_verts)
+    blocks = {u: field.zeros(src.dims[u], tgt.dims[u]) for u in src.dims}
+    for c, sv in enumerate(src_verts):
+        for r, tv in enumerate(tgt_verts):
+            x = field.reduce(e[r, c])
+            if not x.any():
+                continue
+            for u in src.dims:
+                rows_sl = algebra.slice_indices(sv, u)
+                cols_sl = algebra.slice_indices(tv, u)
+                if not rows_sl or not cols_sl:
+                    continue
+                sub = algebra.mult_table[:, rows_sl][:, :, cols_sl]
+                blocks[u][soff[c][u]:soff[c][u] + len(rows_sl),
+                          toff[r][u]:toff[r][u] + len(cols_sl)] = (
+                    np.einsum("k,krc->rc", x, sub) % field.p)
+    return RepMap(src, tgt, blocks)
+
+
 def repmap_to_elements(f: RepMap, src_verts: list, tgt_verts: list) -> np.ndarray:
     """Element matrix of a map between projective sums on the path basis.
 
@@ -451,7 +480,7 @@ def complex_to_module(c) -> Rep:
     alg = c.algebra
     n = alg.num_vertices
     tri = triangular_algebra(alg)
-    f = c.expand()
+    f = elements_to_repmap(alg, list(c.deg1), list(c.deg0), c.d)
     dims = {}
     maps = {}
     for v in range(1, n + 1):
@@ -686,6 +715,9 @@ def whole_sum_check_flags(algebra, expr: str, pverts: tuple,
             classes.append(part)
     basic = len(parts) == len(classes)
     zero_verts = [v for v in range(1, n + 1) if x.dims[v] == 0]
+    if len(set(pverts)) != len(pverts) or not all(
+            1 <= v <= n for v in pverts):
+        return {"code": 2, "basic": None, "flags": None}
     try:
         if basic and len(classes) + len(pverts) <= n:
             make_pair(algebra, classes, pverts)  # rejects bad vertex lists

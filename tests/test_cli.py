@@ -265,6 +265,36 @@ def test_rep_literal_rejects_non_integers(capsys, data_dir, literal):
     assert "integer" in err
 
 
+@pytest.mark.parametrize("literal, key", [
+    ("rep{ dims = [-1,0,0,0]; }", "'dims'"),
+    ("rep{ dims = [1,0,0,0]; dims = [0,1,0,0]; }", "'dims'"),
+    ("rep{ dims = [1,1,0,0]; arrow a1 = [[1]]; arrow a1 = [[0]]; }",
+     "'arrow a1'"),
+])
+def test_rep_literal_names_the_bad_key(capsys, data_dir, literal, key):
+    code, out, err = run(capsys, "check", str(data_dir / "nakayama4.alg"),
+                         literal, "--require", "tau-rigid")
+    assert code == 2 and not out
+    assert err.startswith("error: rep literal") and key in err
+
+
+@pytest.mark.parametrize("expr", ["S(1)+S(1)", "S(1)"])
+@pytest.mark.parametrize("pverts, message", [
+    ("9", "vertex 9 out of range"),
+    ("0,2", "vertex 0 out of range"),
+    ("2,2", "complement vertices repeat"),
+])
+def test_check_rejects_bad_complement_vertices(capsys, data_dir, expr, pverts,
+                                               message):
+    # the same rejection as phi's, whether or not the module part is basic
+    alg = str(data_dir / "nakayama4.alg")
+    code, out, err = run(capsys, "check", alg, expr, "--pverts", pverts)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    if expr == "S(1)":
+        assert run(capsys, "phi", alg, expr, "--pverts", pverts) == (
+            code, out, err)
+
+
 def _cyclic_nakayama_text(n, loewy):
     arrows = "\n".join(f"arrow a{v} {v} -> {v % n + 1}" for v in range(1, n + 1))
     return f"vertices {n}\n{arrows}\nrelations:\nradical^{loewy}\n"

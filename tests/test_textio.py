@@ -8,6 +8,7 @@ from tautilt.errors import ParseError
 from tautilt.modules import are_isomorphic, direct_sum, projective, simple
 from tautilt.textio import (
     complex_json,
+    differential_rows,
     module_expr_string,
     parse_algebra_text,
     parse_element,
@@ -100,6 +101,18 @@ def test_parse_module_expr_rep_literal(prep3):
         parse_module_expr(prep3, "rep{ arrow a = [[1]] }")
 
 
+@pytest.mark.parametrize("body, key", [
+    ("dims = [1, -1, 0]", "'dims'"),
+    ("dims = [1, 1, 0]; dims = [1, 1, 0]", "'dims'"),
+    ("dims = [1, 1, 0]; arrow astar = [[1]]; arrow astar = [[1]]",
+     "'arrow astar'"),
+])
+def test_rep_literal_rejects_negative_dims_and_repeated_keys(prep3, body,
+                                                             key):
+    with pytest.raises(ParseError, match=key):
+        parse_module_expr(prep3, f"rep{{ {body}; }}")
+
+
 def test_module_expr_string_roundtrip(nak4, prep3):
     sample = oracles.uniserial_quotients(nak4) + oracles.uniserial_quotients(prep3)
     rng = np.random.default_rng(7)
@@ -145,7 +158,7 @@ def test_complex_json_and_canonical_string(nak4):
     from tautilt.complexes import presentation_complex
 
     c = presentation_complex(simple(nak4, 1))
-    j = complex_json(c)
+    j = complex_json([(c, differential_rows(c))])
     assert j["m1"] == [0, 1, 0, 0]
     assert j["m0"] == [1, 0, 0, 0]
     assert j["differential"] == [["a1"]]

@@ -73,3 +73,25 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
+
+
+def test_private_helpers_are_used():
+    # a private helper that nothing else in the package names is dead
+    # code, kept alive only by the tests that call it
+    defined, named = [], set()
+    for path in sorted((ROOT / "src" / "tautilt").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__")
+                                                 and name.endswith("__")):
+                    defined.append((path.name, name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert defined
+    assert [d for d in defined if d[1] not in named] == []
