@@ -547,7 +547,10 @@ def presented_module(algebra, verts1: list, verts0: list,
     The images of the source's basis paths are one gather from
     algebra.left_table(e), with both path bases in projective_sum order
     (_path_basis); the gathered matrix is cut at each vertex into the rows
-    that quotient_rep divides out."""
+    that quotient_rep divides out.  With e zero the cokernel is the
+    target sum itself, and the shared projective_sum module is returned."""
+    if not e.any():
+        return projective_sum(algebra, verts0)[0]
     n = algebra.num_vertices
     s_end, s_sum, s_word = _path_basis(algebra, verts1)
     t_end, t_sum, t_word = _path_basis(algebra, verts0)

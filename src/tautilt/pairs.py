@@ -18,12 +18,12 @@ functor permutes its classes.  The enumerations share one table across
 all nodes: each registry item's cokernel (its "top", kept in
 PairEnumeration.tops) is one module object, checked once to be
 indecomposable and not isomorphic to another top, whose minimal
-presentation is the item itself.  A node's predicates are then bitmask
-tests over registry ids: tau-rigidity is an AND of per-top masks of
-vanishing Hom(top_i, tau top_j), and stability asks whether the Nakayama
-functor, matched once per top to another top, permutes the node's tops.
-The stable pairs come from a walk that visits only the stable nodes
-(mutation.walk_nu_stable), each checked by the same predicates.
+presentation is the item itself.  Over the whole silting walk a node is
+checked by bitmask tests over registry ids: tau-rigidity is an AND of
+per-top masks of vanishing Hom(top_i, tau top_j).  The stable pairs come
+from a walk that visits only the stable nodes (mutation.walk_nu_stable),
+and each pair it visits is checked by is_support_tau_tilting_pair and
+is_nu_stable_pair, the predicates check reports.
 
 Stability under the Nakayama functor carries a second, independently
 computed route, the tilting complexes, and a disagreement raises
@@ -130,7 +130,8 @@ class SummandTables:
     and confirmed once to be indecomposable or zero; Hom vanishing and
     isomorphism are tested once per ordered pair of modules.  One minimal
     presentation per module (for a top, its registry item) serves its
-    translate and Nakayama image, and that of its dual tau_minus.  Hom and
+    translate and Nakayama image; tau_minus, asked once per module, is
+    computed from the dual's presentation by translate.tau_minus.  Hom and
     the functors are additive, so by Krull-Schmidt every predicate of a sum
     of indecomposables is read off these tables.  One instance may hold
     modules over several algebras (the duals live over the opposite one).
@@ -138,7 +139,6 @@ class SummandTables:
 
     def __init__(self):
         self._images: dict = {}
-        self._duals: dict = {}
         self._presentations: dict = {}
         self._no_maps: dict = {}
         self._isos: dict = {}
@@ -149,14 +149,13 @@ class SummandTables:
         return self._presentations[m]
 
     def _apply(self, functor, m: Rep) -> Rep:
-        """functor(m) for tau, tau_minus or nu_module, from the
-        presentations kept here: tau_minus(m) is the transpose of the
-        dual, tau(m) the dual of the transpose."""
+        """functor(m) for tau, tau_minus or nu_module.  tau(m), the dual
+        of the transpose, and nu_module(m) read the presentation of m kept
+        here; tau_minus(m) presents the dual, which nothing else asks for."""
         if functor is nu_module:
             return _nu_module_of(m.algebra, self._presentation(m))
         if functor is tau_minus:
-            d = self.dual(m)
-            return _transpose_of(d.algebra, self._presentation(d))
+            return tau_minus(m)
         return dual(_transpose_of(m.algebra, self._presentation(m)))
 
     def image(self, functor, m: Rep) -> Rep:
@@ -171,11 +170,6 @@ class SummandTables:
                     "decomposable")
             self._images[key] = y
         return self._images[key]
-
-    def dual(self, m: Rep) -> Rep:
-        if m not in self._duals:
-            self._duals[m] = dual(m)
-        return self._duals[m]
 
     def hom_vanishes(self, sources, targets) -> bool:
         """Whether Hom(a, b) = 0 for every a in sources and b in targets."""
@@ -362,9 +356,9 @@ class PairEnumeration:
     node_index maps each node that has a pair to its index in pairs.
     tops[i] is the cokernel of registry item i, None for a shifted stalk;
     the pairs share these module objects, and tables holds what the
-    predicates learned about them.  The node predicates read facts kept
-    per top: the vertices it is nonzero at, a bitmask of the tops j with
-    Hom(top_i, tau top_j) = 0, and the top its Nakayama image is."""
+    predicates learned about them.  is_node_support_tau_tilting reads
+    facts kept per top: the vertices it is nonzero at, and a bitmask of
+    the tops j with Hom(top_i, tau top_j) = 0."""
 
     algebra: object
     pairs: list
@@ -378,13 +372,8 @@ class PairEnumeration:
         self._support = [0 if m is None else
                          sum(1 << v for v, k in m.dims.items() if k)
                          for m in self.tops]
-        self._by_dims: dict = {}
-        for j, m in enumerate(self.tops):
-            if m is not None:
-                self._by_dims.setdefault(m.dim_vector(), []).append(j)
         self._rigid = ItemMasks(lambda i, j: self.tables.hom_vanishes(
             [self.tops[i]], [self.tables.image(tau, self.tops[j])]))
-        self._nu_tops: dict = {}
 
     def is_node_support_tau_tilting(self, node) -> bool:
         """is_support_tau_tilting_pair for the pair of a set of registry
@@ -402,30 +391,6 @@ class PairEnumeration:
         if len(node) != self.algebra.num_vertices:
             return False
         return self._rigid.all_hold(mods)
-
-    def nu_top(self, i: int) -> int | None:
-        """The registry id whose top is isomorphic to the Nakayama image of
-        tops[i], or None when no registered top is.  Matched once per top,
-        by dimension vector and then tables.iso."""
-        if i not in self._nu_tops:
-            y = self.tables.image(nu_module, self.tops[i])
-            self._nu_tops[i] = next(
-                (j for j in self._by_dims.get(y.dim_vector(), ())
-                 if self.tables.iso(y, self.tops[j])), None)
-        return self._nu_tops[i]
-
-    def is_node_nu_stable(self, node) -> bool:
-        """is_nu_stable_pair for the pair of a set of registry ids without
-        its closure assertion: whether nu_top permutes the node's tops."""
-        tops = images = 0
-        for i in node:
-            if self.tops[i] is not None:
-                j = self.nu_top(i)
-                if j is None:
-                    return False
-                tops |= 1 << i
-                images |= 1 << j
-        return tops == images
 
 
 def _pair_enumeration(algebra, enum: EnumerationResult) -> PairEnumeration:
@@ -447,30 +412,24 @@ def _pair_enumeration(algebra, enum: EnumerationResult) -> PairEnumeration:
     return PairEnumeration(algebra, [], enum.status, enum, {}, tops, tables)
 
 
-def _add_pair(out: PairEnumeration, node) -> STPair:
-    """Append the pair of a node, its tops and the vertices of its shifted
-    stalks, to out.pairs, indexed by the node."""
+def _node_pair(out: PairEnumeration, node) -> STPair:
+    """The pair of a node: its tops and the vertices of its shifted
+    stalks."""
     items = out.silting.registry.items
-    pair = make_pair(
+    return make_pair(
         out.algebra,
         [out.tops[i] for i in sorted(node) if out.tops[i] is not None],
         [items[i].deg1[0] for i in node if out.tops[i] is None])
-    out.node_index[node] = len(out.pairs)
-    out.pairs.append(pair)
-    return pair
-
-
-def _require_support_tau_tilting(out: PairEnumeration, node) -> None:
-    if not out.is_node_support_tau_tilting(node):
-        raise TheoremViolationError(
-            "a silting node transported to a non-tau-tilting pair")
 
 
 def enumerate_support_tau_tilting(algebra, cap: int = 10000) -> PairEnumeration:
     out = _pair_enumeration(algebra, enumerate_two_term_silting(algebra, cap))
     for node in out.silting.nodes:
-        _require_support_tau_tilting(out, node)
-        _add_pair(out, node)
+        if not out.is_node_support_tau_tilting(node):
+            raise TheoremViolationError(
+                "a silting node transported to a non-tau-tilting pair")
+        out.node_index[node] = len(out.pairs)
+        out.pairs.append(_node_pair(out, node))
     return out
 
 
@@ -483,24 +442,28 @@ def enumerate_nu_stable(algebra, cap: int = 10000) -> PairEnumeration:
 
 
 def _nu_stable_enumeration(algebra, walk: EnumerationResult) -> PairEnumeration:
-    """The pairs of the stable nodes among walk.nodes.  Every node is
-    checked: its pair is support tau-tilting, and it is stable by the pair
-    route (the Nakayama functor permutes its tops) exactly when it is by
-    the complex route (it permutes its items) and exactly when it is
-    tilting.  The complement vertices of each stable pair must be closed
-    under the Nakayama permutation."""
+    """The pairs of the stable nodes among walk.nodes.  Every node's pair
+    is checked by the predicates check reports: it is support
+    tau-tilting, and it is stable (is_nu_stable_pair, which also asserts
+    that its complement vertices are closed under the Nakayama
+    permutation) exactly when the node is by the complex route (the
+    Nakayama functor permutes its items) and exactly when it is
+    tilting."""
     out = _pair_enumeration(algebra, walk)
-    perm = nakayama_permutation(algebra)
     for node in walk.nodes:
-        _require_support_tau_tilting(out, node)
-        stable = out.is_node_nu_stable(node)
+        pair = _node_pair(out, node)
+        if not is_support_tau_tilting_pair(pair, out.tables):
+            raise TheoremViolationError(
+                "a silting node transported to a non-tau-tilting pair")
+        stable = is_nu_stable_pair(pair, out.tables)
         if not stable == walk.is_node_nu_stable(node) == \
                 walk.is_node_tilting(node):
             raise TheoremViolationError(
                 "stable-pair route, stable-complex route and tilting-complex "
                 "route disagree")
         if stable:
-            _require_nu_closed(perm, _add_pair(out, node).pverts)
+            out.node_index[node] = len(out.pairs)
+            out.pairs.append(pair)
     return out
 
 

@@ -43,10 +43,9 @@ from .modules import (
     direct_sum,
     injective,
     minimal_presentation,
+    presented_module,
     projective,
-    quotient_rep,
     simple,
-    submodule_generated,
     top,
     zero_module,
 )
@@ -256,26 +255,29 @@ def _vertex_in_range(algebra, v: int):
 
 
 def _quotient_of_projective(algebra, v: int, inner: str) -> Rep:
+    """P(v)/<x, ...>, presented as module_expr_string prints it: each
+    generator x in e_v A splits into its parts in e_v A e_w, and the
+    quotient is the cokernel of the map to P(v) from one P(w) per nonzero
+    part, by left multiplication by that part."""
     _vertex_in_range(algebra, v)
-    m = projective(algebra, v)
-    gens = []
+    verts = range(1, algebra.num_vertices + 1)
+    mask = algebra.slice_mask([v], verts)[0]
+    ws, parts = [], []
     for chunk in _split_top_level(inner, ","):
         chunk = chunk.strip()
         if not chunk:
             continue
         x = parse_element(algebra, chunk)
-        for k in np.nonzero(x)[0]:
-            if algebra.source_of(int(k)) != v:
-                raise ParseError(
-                    f"generator {chunk!r} does not lie in the projective at "
-                    f"vertex {v}")
-        for w in range(1, algebra.num_vertices + 1):
-            sl = algebra.slice_indices(v, w)
-            coords = x[sl]
-            if coords.any():
-                gens.append((w, coords))
-    quo, _ = quotient_rep(m, submodule_generated(m, gens))
-    return quo
+        if x[~mask.any(axis=0)].any():
+            raise ParseError(
+                f"generator {chunk!r} does not lie in the projective at "
+                f"vertex {v}")
+        for w, part in zip(verts, x * mask):
+            if part.any():
+                ws.append(w)
+                parts.append(part)
+    e = np.array(parts, dtype=np.int64).reshape(1, len(parts), algebra.dim)
+    return presented_module(algebra, ws, [v], e)
 
 
 def _residues(literal, p: int):
@@ -324,13 +326,16 @@ def _rep_literal(algebra, body: str) -> Rep:
     dim_map = dict(enumerate(dims, start=1))
     rep_maps = {}
     for a in algebra.quiver.arrows:
-        shape = (dim_map[a.source], dim_map[a.target])
-        if a.name in maps:
-            mat = np.array(_residues(maps[a.name], p),
-                           dtype=np.int64).reshape(shape)
-        else:
-            mat = np.zeros(shape, dtype=np.int64)
-        rep_maps[a.name] = mat
+        rows, cols = dim_map[a.source], dim_map[a.target]
+        literal = maps.get(a.name, [[0] * cols] * rows)
+        shaped = isinstance(literal, (list, tuple)) and len(literal) == rows \
+            and all(isinstance(r, (list, tuple)) and len(r) == cols
+                    for r in literal)
+        if not (shaped or literal == [] and rows * cols == 0):
+            raise ParseError(f"rep literal key 'arrow {a.name}' needs "
+                             f"{rows} rows of {cols} integers")
+        rep_maps[a.name] = np.array(_residues(literal, p),
+                                    dtype=np.int64).reshape(rows, cols)
     unknown = set(maps) - {a.name for a in algebra.quiver.arrows}
     if unknown:
         raise ParseError(f"rep literal names unknown arrows {sorted(unknown)}")

@@ -79,6 +79,7 @@ from tautilt.pairs import (
     SummandTables,
     _nu_stable_enumeration,
     enumerate_support_tau_tilting,
+    is_nu_stable_pair,
     is_support_tau_tilting_pair,
     make_pair,
 )
@@ -1083,9 +1084,11 @@ def op_walk_converse(algebra, cap: int = 10000) -> tuple:
     a support tau-tilting pair over A)."""
     op_enum = enumerate_support_tau_tilting(algebra.opposite(), cap)
     tables = SummandTables()
+    # one dual object per module, so that tables shares its facts
+    duals = {m: dual(m) for op_pair in op_enum.pairs for m in op_pair.modules}
     holds = all(
         is_support_tau_tilting_pair(
-            STPair(algebra, tuple(tables.dual(m) for m in op_pair.modules),
+            STPair(algebra, tuple(duals[m] for m in op_pair.modules),
                    op_pair.pverts),
             tables=tables)
         for op_pair in op_enum.pairs)
@@ -1170,23 +1173,47 @@ def weyl_group_d(n: int) -> tuple:
     return len(group), central
 
 
+# -- path algebras of Dynkin quivers -------------------------------------------
+
+
+def dynkin_path_algebra(kind: str, n: int, seed: int) -> str:
+    """The path algebra kQ of a Dynkin quiver Q in the text format, each
+    edge oriented at random from seed.  The graphs: A_n the path
+    1 - 2 - ... - n; D_n the path 1 - ... - (n-1) with vertex n joined to
+    n-2; E_n (n = 6, 7, 8) the path 1 - ... - (n-1) with vertex n joined
+    to 3.  No relations: Q is a tree, so kQ is finite dimensional."""
+    if kind == "D" and n < 4 or kind == "E" and n not in (6, 7, 8):
+        raise ValueError(f"no Dynkin graph {kind}{n}")
+    path = [(i, i + 1) for i in range(1, n - 1)]
+    edges = {"A": path + [(n - 1, n)], "D": path + [(n - 2, n)],
+             "E": path + [(3, n)]}[kind]
+    flips = np.random.default_rng(seed).integers(0, 2, size=len(edges))
+    lines = [f"# path algebra of an orientation of the {kind}{n} graph",
+             f"vertices {n}"]
+    for k, ((s, t), flip) in enumerate(zip(edges, flips), start=1):
+        if flip:
+            s, t = t, s
+        lines.append(f"arrow x{k} {s} -> {t}")
+    return "\n".join(lines) + "\n"
+
+
 # -- stable pairs from the whole silting walk -----------------------------------
 
 
 def full_walk_nu_stable(algebra, cap: int = 10000) -> PairEnumeration:
     """Stable pairs by two independent routes over every node of the
-    silting walk: filtering the pair enumeration by stability (the
-    Nakayama functor permutes the node's tops), and filtering the walk by
-    the tilting criterion.  The index sets must agree, and the complement
-    vertices of a stable pair must be closed under the Nakayama
-    permutation."""
+    silting walk: filtering the pair enumeration by is_nu_stable_pair
+    (the Nakayama functor permutes the pair's modules), and filtering the
+    walk by the tilting criterion.  The index sets must agree, and the
+    complement vertices of a stable pair must be closed under the
+    Nakayama permutation."""
     base = enumerate_support_tau_tilting(algebra, cap)
     perm = nakayama_permutation(algebra)
     by_stability = []
-    for k, node in enumerate(base.silting.nodes):
-        if not base.is_node_nu_stable(node):
+    for k, pair in enumerate(base.pairs):
+        if not is_nu_stable_pair(pair, base.tables):
             continue
-        pverts = base.pairs[k].pverts
+        pverts = pair.pverts
         if sorted(perm[v] for v in pverts) != sorted(pverts):
             raise TheoremViolationError(
                 "stable module part with complement vertices not closed "

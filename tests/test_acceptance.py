@@ -17,9 +17,7 @@ from tautilt.complexes import (
     minimalize,
     nu_complex,
     presentation_complex,
-    projective_stalk,
     summand_classes,
-    sum_complexes,
 )
 from tautilt.modules import (
     are_isomorphic,

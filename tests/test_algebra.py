@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import nextprime
 
-from tautilt.algebra import Arrow, Quiver, RadicalPower, Relation, build_algebra
+from tautilt.algebra import Arrow, Quiver, Relation, build_algebra
 from tautilt.errors import (
     MixedEndpointsError,
     NonAdmissibleError,

@@ -270,6 +270,8 @@ def test_rep_literal_rejects_non_integers(capsys, data_dir, literal):
     ("rep{ dims = [1,0,0,0]; dims = [0,1,0,0]; }", "'dims'"),
     ("rep{ dims = [1,1,0,0]; arrow a1 = [[1]]; arrow a1 = [[0]]; }",
      "'arrow a1'"),
+    # a1: 1 -> 2 needs 2 rows of 1, and the transposed block is refused
+    ("rep{ dims = [2,1,0,0]; arrow a1 = [[1,2]]; }", "'arrow a1'"),
 ])
 def test_rep_literal_names_the_bad_key(capsys, data_dir, literal, key):
     code, out, err = run(capsys, "check", str(data_dir / "nakayama4.alg"),

@@ -28,6 +28,7 @@ from tautilt.mutation import (
 from tautilt.pairs import (
     enumerate_nu_stable,
     enumerate_support_tau_tilting,
+    is_nu_stable_pair,
     nu_stable_torsion_check,
 )
 from tautilt.textio import parse_algebra_text
@@ -193,9 +194,9 @@ def test_one_stable_neighbour_per_orbit(orbit_run, name):
 @pytest.mark.parametrize("name", ["nak4", "prep3", "nak6", "pa4"])
 def test_torsion_class_route_matches_node_stability(algebra_of, name):
     pe = enumerate_support_tau_tilting(algebra_of(name))
-    for node, k in pe.node_index.items():
-        assert nu_stable_torsion_check(pe.pairs[k].module_sum()) == \
-            pe.is_node_nu_stable(node), name
+    for pair in pe.pairs:
+        assert nu_stable_torsion_check(pair.module_sum()) == \
+            is_nu_stable_pair(pair, pe.tables), name
 
 
 @pytest.mark.parametrize("name", ["nak4", "nak6", "prep3"])

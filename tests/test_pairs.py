@@ -1,7 +1,6 @@
 """Support tau-tilting pairs, stability under the Nakayama functor, and
 the obstruction battery."""
 
-import numpy as np
 import pytest
 
 from tautilt.errors import (

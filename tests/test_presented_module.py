@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautilt.modules import presented_module, quotient_rep
+from tautilt.algebra import BoundQuiverAlgebra
+from tautilt.modules import presented_module, projective_sum, quotient_rep
 from tautilt.mutation import enumerate_two_term_silting
 from tautilt.textio import parse_algebra_file
 from tautilt.translate import is_selfinjective, nu_element, selfinjective_data
@@ -83,3 +84,20 @@ def test_zero_and_degenerate_presentations(verts1, verts0):
     _assert_one_route(alg, verts1, verts0, e)
     assert presented_module(alg, verts1, verts0, e).total_dim == sum(
         len(alg.paths_from(v)) for v in verts0)
+
+
+def test_zero_element_matrix_is_the_target_sum(monkeypatch):
+    # no multiplication table is built for the zero map
+    alg = ALGEBRAS["preproj_a3"]
+    verts1, verts0 = [2, 3], [1, 2, 1]
+    want = projective_sum(alg, verts0)[0]
+
+    def refuse(self, a):
+        raise AssertionError("left_table built for a zero matrix")
+
+    monkeypatch.setattr(BoundQuiverAlgebra, "left_table", refuse)
+    got = presented_module(alg, verts1, verts0,
+                           np.zeros((3, 2, alg.dim), dtype=np.int64))
+    assert got.dims == want.dims
+    for a in alg.quiver.arrows:
+        assert np.array_equal(got.maps[a.name], want.maps[a.name]), a.name

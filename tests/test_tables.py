@@ -4,10 +4,10 @@ them per call or per pair.
 Complex Homs read the multiplication tables each complex keeps for its
 differential and the coordinate spaces each algebra keeps per pair of
 vertex tuples; the oracle builds both on every call, as the package did
-before.  The enumerations read per-node predicates as bitmask tests over
-per-item facts; the public per-pair predicates compute them from the
-pair.  The enumerations present each top by its registry item; the
-module route presents it by minimal_presentation."""
+before.  The whole-walk enumeration reads support tau-tilting per node
+as bitmask tests over per-item facts; the public per-pair predicates
+compute it from the pair.  The enumerations present each top by its
+registry item; the module route presents it by minimal_presentation."""
 
 from types import SimpleNamespace
 
@@ -19,12 +19,10 @@ from tautilt.errors import TheoremViolationError
 from tautilt.modules import _indec_iso
 from tautilt.mutation import EnumerationResult, enumerate_two_term_silting
 from tautilt.pairs import (
-    PairEnumeration,
     SummandTables,
     _pair_enumeration,
     enumerate_nu_stable,
     enumerate_support_tau_tilting,
-    is_nu_stable_pair,
     is_support_tau_tilting_pair,
     make_pair,
 )
@@ -111,7 +109,6 @@ def test_mask_predicates_match_the_per_pair_routes(request, algebras, name):
     pe = enumerate_support_tau_tilting(alg)
     assert pe.status == "COMPLETE"
     walk = pe.silting
-    selfinjective = is_selfinjective(alg)
     per_pair = SummandTables()  # shares nothing with the masks' tables
     assert all(pe.is_node_support_tau_tilting(node) for node in walk.nodes)
     rejected = 0
@@ -120,9 +117,6 @@ def test_mask_predicates_match_the_per_pair_routes(request, algebras, name):
         rigid = pe.is_node_support_tau_tilting(ids)
         assert rigid == is_support_tau_tilting_pair(pair, tables=per_pair)
         rejected += not rigid
-        if selfinjective:
-            assert pe.is_node_nu_stable(ids) == \
-                is_nu_stable_pair(pair, tables=per_pair)
         assert walk.is_node_tilting(ids) == all(
             walk.hom_shift(i, j, -1) == 0 for i in ids for j in ids)
     assert rejected > 0
@@ -132,8 +126,8 @@ def test_mask_predicates_match_the_per_pair_routes(request, algebras, name):
 def test_disagreeing_nu_routes_are_a_theorem_violation(nak4, monkeypatch,
                                                        route):
     if route == "stability":
-        monkeypatch.setattr(PairEnumeration, "is_node_nu_stable",
-                            lambda self, node: False)
+        monkeypatch.setattr("tautilt.pairs.is_nu_stable_pair",
+                            lambda pair, tables=None: False)
     elif route == "tilting":  # wrong on every node the walk visits
         tilting = EnumerationResult.is_node_tilting
         monkeypatch.setattr(EnumerationResult, "is_node_tilting",

@@ -113,6 +113,29 @@ def test_rep_literal_rejects_negative_dims_and_repeated_keys(prep3, body,
         parse_module_expr(prep3, f"rep{{ {body}; }}")
 
 
+@pytest.mark.parametrize("block", [
+    "[[1, 2], [3, 4], [5, 6]]",  # transposed
+    "[1, 2, 3, 4, 5, 6]",  # flat
+    "[[1, 2, 3]]",  # short
+    "[[1, 2, 3], [4, 5]]",  # ragged
+])
+def test_rep_literal_arrow_has_its_block_shape(kronecker, block):
+    # arrow a: 1 -> 2 needs dims[1] rows of dims[2] entries, as written
+    with pytest.raises(ParseError, match="'arrow a' needs 2 rows of 3 "):
+        parse_module_expr(kronecker,
+                          f"rep{{ dims = [2, 3]; arrow a = {block}; }}")
+
+
+def test_rep_literal_accepts_an_empty_block(kronecker):
+    m = parse_module_expr(kronecker,
+                          "rep{ dims = [0, 3]; arrow a = []; arrow b = []; }")
+    assert m.dim_vector() == (0, 3)
+    assert m.maps["a"].shape == (0, 3)
+    wide = parse_module_expr(kronecker, "rep{ dims = [2, 0]; arrow a = []; "
+                                        "arrow b = [[], []]; }")
+    assert wide.maps["a"].shape == wide.maps["b"].shape == (2, 0)
+
+
 def test_module_expr_string_roundtrip(nak4, prep3):
     sample = oracles.uniserial_quotients(nak4) + oracles.uniserial_quotients(prep3)
     rng = np.random.default_rng(7)

@@ -95,3 +95,24 @@ def test_private_helpers_are_used():
                 named.add(node.name)
     assert defined
     assert [d for d in defined if d[1] not in named] == []
+
+
+def test_no_unused_imports():
+    # every name an import binds is used in its file; the package's
+    # __init__ is exempt, as its imports are the public API
+    paths = [path for path in sorted((ROOT / "src" / "tautilt").glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    paths += sorted((ROOT / "demos").glob("*.py"))
+    unused = []
+    for path in paths:
+        bound, used = set(), set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) != "__future__":
+                    bound |= {alias.asname or alias.name.split(".")[0]
+                              for alias in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused += [(path.name, name) for name in sorted(bound - used)]
+    assert unused == []

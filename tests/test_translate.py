@@ -15,7 +15,6 @@ from tautilt.algebra import Arrow, Quiver, build_algebra
 from tautilt.errors import NotSelfinjectiveError
 from tautilt.modules import (
     are_isomorphic,
-    decompose,
     injective,
     projective,
     simple,
