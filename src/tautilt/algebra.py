@@ -223,11 +223,13 @@ class BoundQuiverAlgebra:
 
     Built by build_algebra or opposite(), not directly; canon takes the
     coordinates of words, every word below the truncation level, to basis
-    coordinates.
+    coordinates.  The structure constants are the nonzero triples, four 1-D
+    arrays (i, j, m, c): word i * word j has coefficient c at word m.  Only
+    this class reads them; opposite() shares them with i and j swapped.
     """
 
     def __init__(self, quiver, relations, field, level, words, basis_words,
-                 canon, mult_table=None):
+                 canon, constants=None):
         self.quiver = quiver
         self.relations = list(relations)
         self.field = field
@@ -254,23 +256,20 @@ class BoundQuiverAlgebra:
             key = (int(self._sources[k]), int(self._targets[k]))
             self._slices.setdefault(key, []).append(k)
 
-        self.mult_table = (self._build_table() if mult_table is None
-                           else mult_table)
+        self._constants = constants or self._structure_constants()
         self._opposite = None
         self._cache = {}
 
-    def _build_table(self) -> np.ndarray:
-        d = self.dim
-        t = np.zeros((d, d, d), dtype=np.int64)
-        for u, (usrc, uarr) in enumerate(self.basis_words):
-            utgt = int(self._targets[u])
-            for v, (vsrc, varr) in enumerate(self.basis_words):
-                if vsrc != utgt:
-                    continue
-                if len(uarr) + len(varr) >= self.level:
-                    continue
-                t[u, v] = self._canon[self._word_index[(usrc, uarr + varr)]]
-        return t
+    def _structure_constants(self) -> tuple:
+        """(i, j, m, c): one gather of the canon rows of the products of
+        composable basis words, cut to their nonzero entries."""
+        us, vs = np.nonzero((self._targets[:, None] == self._sources)
+                            & (self._lengths[:, None] + self._lengths < self.level))
+        words = self.basis_words
+        rows = self._canon[[self._word_index[(words[u][0], words[u][1] + words[v][1])]
+                            for u, v in zip(us, vs)]]
+        k, m = np.nonzero(rows)
+        return us[k], vs[k], m, rows[k, m]
 
     def __repr__(self):
         return (f"BoundQuiverAlgebra(dim={self.dim}, "
@@ -293,13 +292,9 @@ class BoundQuiverAlgebra:
         x[self._trivial[v]] = 1
         return x
 
-    def arrow_position(self, name: str) -> int:
-        """Basis index of an arrow."""
-        return self._arrow_pos[self.quiver.arrow_index(name)]
-
     def arrow_element(self, name: str) -> np.ndarray:
         x = self.zero()
-        x[self.arrow_position(name)] = 1
+        x[self._arrow_pos[self.quiver.arrow_index(name)]] = 1
         return x
 
     def element_from_path(self, names) -> np.ndarray:
@@ -345,26 +340,39 @@ class BoundQuiverAlgebra:
     def left_table(self, a: np.ndarray) -> np.ndarray:
         """Left multiplication by the entries of a, of shape (..., dim):
         t[..., j, m] is the coefficient of basis word m in a[...] * word j."""
-        return self._table(a, self.mult_table.reshape(self.dim, -1))
+        return self._table(a, *self._constants)
 
     def right_table(self, b: np.ndarray) -> np.ndarray:
         """Right multiplication by the entries of b, of shape (..., dim):
         t[..., i, m] is the coefficient of basis word m in word i * b[...]."""
-        d = self.dim
-        if "mult_table_ji" not in self._cache:
-            self._cache["mult_table_ji"] = np.ascontiguousarray(
-                self.mult_table.transpose(1, 0, 2)).reshape(d, d * d)
-        return self._table(b, self._cache["mult_table_ji"])
+        i, j, m, c = self._constants
+        return self._table(b, j, i, m, c)
 
-    def _table(self, a: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """The entries of a contracted with the rows of table, over the
-        basis words that occur in some entry only."""
-        d = self.dim
-        a = self.field.reduce(a)
-        flat = a.reshape(-1, d)
-        used = np.flatnonzero(flat.any(axis=0))
-        out = self.field.matmul(flat[:, used], table[used])
-        return out.reshape(a.shape[:-1] + (d, d))
+    def arrow_actions(self) -> np.ndarray:
+        """Right multiplication by each arrow, in quiver order: t[a, k, m] is
+        the coefficient of basis word m in word k * arrow a.  Read-only."""
+        if "arrow_actions" not in self._cache:
+            pos = [self._arrow_pos[a] for a in range(len(self.quiver.arrows))]
+            acts = self.right_table(self.field.identity(self.dim)[pos])
+            acts.flags.writeable = False
+            self._cache["arrow_actions"] = acts
+        return self._cache["arrow_actions"]
+
+    def form_pairing(self, form: np.ndarray) -> np.ndarray:
+        """g[a, b] = form(word a * word b), for the linear form with the
+        given values on the basis words."""
+        i, j, m, c = self._constants
+        return self._table(form, m, i, j, c)
+
+    def _table(self, a, factor, row, col, coeff) -> np.ndarray:
+        """t[..., r, s]: the sum of a[..., factor] * coeff over the constants
+        at (row, col) = (r, s), at most dim reduced products per cell."""
+        d, p = self.dim, self.field.p
+        flat = self.field.reduce(a).reshape(-1, d)
+        out = np.zeros((len(flat), d, d), dtype=np.int64)
+        np.add.at(out, (slice(None), row, col), flat[:, factor] * coeff % p)
+        out[:, row, col] %= p
+        return out.reshape(np.shape(a)[:-1] + (d, d))
 
     def element_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of matrices with algebra-element entries.
@@ -457,11 +465,11 @@ class BoundQuiverAlgebra:
             def rev(w):
                 return _word_target(self.quiver, w), tuple(reversed(w[1]))
 
+            i, j, m, c = self._constants
             op = BoundQuiverAlgebra(
                 rq, rrels, self.field, self.level,
                 [rev(w) for w in self._words],
-                [rev(w) for w in self.basis_words], self._canon,
-                np.ascontiguousarray(self.mult_table.transpose(1, 0, 2)))
+                [rev(w) for w in self.basis_words], self._canon, (j, i, m, c))
             op._opposite = self
             self._opposite = op
         return self._opposite

@@ -9,10 +9,10 @@ Composition "f then g" is therefore the plain matrix product f @ g.
 
 Exactness in int64: a sum of n products of residues stays below 2^63 while
 n <= max_terms.  matmul splits longer inner dimensions into chunks of
-max_terms and reduces between chunks, so it is exact for every shape.  The
-algebra layer contracts element coordinates over one basis index at a time
-outside matmul, so an algebra of dimension d needs max_terms >= d; see
-check_exact.
+max_terms and reduces between chunks, so it is exact for every shape.
+Outside matmul the algebra layer's tables (BoundQuiverAlgebra._table) sum at
+most d products, each reduced mod p first, for an algebra of dimension d;
+check_exact asks max_terms >= d of every algebra, which bounds these too.
 """
 
 from __future__ import annotations

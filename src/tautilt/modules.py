@@ -182,12 +182,10 @@ def projective(algebra, v: int) -> Rep:
     if v not in cache:
         dims = {u: len(algebra.slice_indices(v, u))
                 for u in range(1, algebra.num_vertices + 1)}
-        maps = {}
-        for a in algebra.quiver.arrows:
-            # word b from v to a.source goes to b * a: a gather of the table
-            maps[a.name] = algebra.mult_table[
-                algebra.slice_indices(v, a.source),
-                algebra.arrow_position(a.name)][:, algebra.slice_indices(v, a.target)]
+        # word b from v to a.source goes to b * a
+        maps = {a.name: act[algebra.slice_indices(v, a.source)][
+                    :, algebra.slice_indices(v, a.target)]
+                for a, act in zip(algebra.quiver.arrows, algebra.arrow_actions())}
         rep = Rep(algebra, dims, maps, check=False)
         for m in rep.maps.values():
             m.flags.writeable = False
@@ -436,13 +434,6 @@ def kernel(f: RepMap) -> tuple:
     rows = {v: field.left_kernel_basis(b) for v, b in f.blocks.items()
             if b.shape[0]}
     return sub_rep(f.src, rows)
-
-
-def image(f: RepMap) -> tuple:
-    """(image, inclusion into f.tgt)."""
-    field = f.src.algebra.field
-    rows = {v: field.row_space_basis(f.blocks[v]) for v in f.blocks}
-    return sub_rep(f.tgt, rows)
 
 
 # -- projective covers and presentations ------------------------------------

@@ -46,7 +46,7 @@ from .modules import (
     presented_module,
     projective,
     simple,
-    top,
+    top_generators,
     zero_module,
 )
 
@@ -406,8 +406,7 @@ def module_expr_string(m: Rep) -> str:
         for v in verts:
             if dim_vector(v) == dv and _indec_iso(m, maker(algebra, v)):
                 return f"{name}({v})"
-    t, _ = top(m)
-    if t.total_dim == 1:
+    if len(top_generators(m)) == 1:
         # the relations of P(v) are the columns of the presentation
         _, (v,), e = minimal_presentation(m)
         exprs = [algebra.format_element(x) for x in e[0]]

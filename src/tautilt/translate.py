@@ -65,21 +65,21 @@ def _frobenius_data(algebra):
     """(permutation, nu matrix) read off a Frobenius form, or a message
     naming the vertex where the algebra fails to be selfinjective."""
     field = algebra.field
-    arrows = [k for k in range(algebra.dim) if algebra.word_length(k) == 1]
-    key, sigma = [], {}
+    acts = algebra.arrow_actions()
+    form, sigma = algebra.zero(), {}
     for i in range(1, algebra.num_vertices + 1):
         rows = algebra.paths_from(i)
         # the right socle of e_i A: the elements every arrow kills (zero
         # columns of the system constrain nothing)
-        system = algebra.mult_table[np.ix_(rows, arrows)].reshape(len(rows), -1)
+        system = acts[:, rows].transpose(1, 0, 2).reshape(len(rows), -1)
         soc = field.left_kernel_basis(system[:, system.any(axis=0)])
         if len(soc) != 1:
             return (f"P({i}) has a socle of dimension {len(soc)}, so the "
                     "algebra is not selfinjective")
         k = rows[int(np.flatnonzero(soc[0])[0])]
-        key.append(k)
+        form[k] = 1
         sigma[i] = algebra.target_of(k)
-    gram = algebra.mult_table[:, :, key].sum(axis=-1) % field.p
+    gram = algebra.form_pairing(form)
     # one solve decides invertibility and gives the inverse
     gram_inv = field.solve_right(gram, field.identity(algebra.dim))
     if gram_inv is None:

@@ -25,11 +25,15 @@ presentations come from a second projective cover rather than from the
 syzygy's top, and a map of projective sums given by an element matrix is
 realised one entry, one vertex and one pair of slices at a time
 (elements_to_repmap) rather than presented by one gather
-(modules.presented_module).  ext1_dim and is_nu_stable_module are not oracles but
-module functions that only the tests call.
+(modules.presented_module), and products come from a dense table built
+one pair of basis words at a time (dense_table) rather than from the
+algebra's nonzero structure constants.  ext1_dim and is_nu_stable_module
+are not oracles but module functions that only the tests call.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -132,6 +136,29 @@ def largest_exact_prime(dim: int) -> int:
     return p
 
 
+_DENSE_TABLES = weakref.WeakKeyDictionary()
+
+
+def dense_table(alg) -> np.ndarray:
+    """The structure constants as a dense (dim, dim, dim) array: t[u, v] is
+    the canonical form of word u * word v, read off the word list, one
+    pair of basis words at a time.  Built once per algebra."""
+    if alg not in _DENSE_TABLES:
+        d = alg.dim
+        t = np.zeros((d, d, d), dtype=np.int64)
+        for u, (usrc, uarr) in enumerate(alg.basis_words):
+            utgt = alg.target_of(u)
+            for v, (vsrc, varr) in enumerate(alg.basis_words):
+                if vsrc != utgt:
+                    continue
+                if len(uarr) + len(varr) >= alg.level:
+                    continue
+                t[u, v] = alg._canon[alg._word_index[(usrc, uarr + varr)]]
+        t.flags.writeable = False
+        _DENSE_TABLES[alg] = t
+    return _DENSE_TABLES[alg]
+
+
 def brute_hom_dim(m: Rep, n: Rep) -> int:
     """Dimension of Hom(m, n) by writing out every linear condition
     entry by entry."""
@@ -187,10 +214,11 @@ def loop_pairing_matrix(fs: list, gs: list, field) -> np.ndarray:
 def _entry_product(alg, x, y) -> list:
     """Product of two algebra elements, term by term over the table."""
     out = [0] * alg.dim
+    table = dense_table(alg)
     for i in np.nonzero(x)[0]:
         for j in np.nonzero(y)[0]:
-            for m in np.nonzero(alg.mult_table[i, j])[0]:
-                out[m] += int(x[i]) * int(y[j]) * int(alg.mult_table[i, j, m])
+            for m in np.nonzero(table[i, j])[0]:
+                out[m] += int(x[i]) * int(y[j]) * int(table[i, j, m])
     return out
 
 
@@ -271,14 +299,14 @@ def percall_left_table(alg, a):
     """t[..., j, m]: the coefficient of basis word m in a[...] * word j."""
     d = alg.dim
     a = alg.field.reduce(a)
-    flat = alg.field.matmul(a.reshape(-1, d), alg.mult_table.reshape(d, d * d))
+    flat = alg.field.matmul(a.reshape(-1, d), dense_table(alg).reshape(d, d * d))
     return flat.reshape(a.shape[:-1] + (d, d))
 
 
 def percall_right_table(alg, b):
     """t[..., i, m]: the coefficient of basis word m in word i * b[...]."""
     d = alg.dim
-    table = np.ascontiguousarray(alg.mult_table.transpose(1, 0, 2)).reshape(
+    table = np.ascontiguousarray(dense_table(alg).transpose(1, 0, 2)).reshape(
         d, d * d)
     b = alg.field.reduce(b)
     flat = alg.field.matmul(b.reshape(-1, d), table)
@@ -398,7 +426,7 @@ def elements_to_repmap(algebra, src_verts: list, tgt_verts: list,
                 cols_sl = algebra.slice_indices(tv, u)
                 if not rows_sl or not cols_sl:
                     continue
-                sub = algebra.mult_table[:, rows_sl][:, :, cols_sl]
+                sub = dense_table(algebra)[:, rows_sl][:, :, cols_sl]
                 blocks[u][soff[c][u]:soff[c][u] + len(rows_sl),
                           toff[r][u]:toff[r][u] + len(cols_sl)] = (
                     np.einsum("k,krc->rc", x, sub) % field.p)

@@ -113,9 +113,9 @@ def test_relabelled_opposite_matches_reference(name, algebras):
     assert op.basis_words == [
         (alg.target_of(k), tuple(reversed(w[1])))
         for k, w in enumerate(alg.basis_words)]
-    ref_table = np.einsum("ka,abm->kbm", m, ref.mult_table) % p
+    ref_table = np.einsum("ka,abm->kbm", m, oracles.dense_table(ref)) % p
     ref_table = np.einsum("lb,kbm->klm", m, ref_table) % p
-    assert (np.einsum("klc,cm->klm", op.mult_table, m) % p
+    assert (np.einsum("klc,cm->klm", oracles.dense_table(op), m) % p
             == ref_table).all()
     for k, (src, arrows) in enumerate(alg.basis_words):
         if arrows:
@@ -151,6 +151,63 @@ def test_short_relation_term_rejected():
         build_algebra(q, [Relation(((1, ("a",)),))], PrimeField(32003))
 
 
+# arrows a, b: 1 -> 2 and c: 2 -> 3 with a*c = b*c, so the constants
+# a * c and b * c share (j, m) = (c, a*c) and the scatter-add accumulates
+SHARED = """vertices 3
+arrow a 1 -> 2
+arrow b 1 -> 2
+arrow c 2 -> 3
+relations:
+a*c - b*c = 0
+"""
+
+
+@pytest.mark.parametrize("largest", [False, True],
+                         ids=["default-p", "largest-p"])
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.alg"))
+                         + ["pa4", "shared"])
+def test_products_match_dense_table(name, largest, algebras):
+    # every product the algebra hands out, against the dense table worked
+    # in Python integers, at the default prime and at the largest one the
+    # parser accepts for the dimension; the coordinates are dense, so each
+    # shared (j, m) cell sums several products
+    text = {"pa4": algebras.preprojective(4), "shared": SHARED}.get(name)
+    if text is None:
+        text = (DATA / name).read_text()
+    alg = parse_algebra_text(text)
+    if largest:
+        alg = parse_algebra_text(text, oracles.largest_exact_prime(alg.dim))
+    d, p = alg.dim, alg.field.p
+    table = oracles.dense_table(alg).astype(object)
+    if name == "shared":
+        assert np.count_nonzero(table) == 13
+        assert ((table != 0).sum(axis=0) > 1).any()
+    gen = np.random.default_rng(0)
+    a = gen.integers(0, p, size=(2, 3, d))
+    b = gen.integers(0, p, size=(3, 2, d))
+    left = np.tensordot(a.astype(object), table, axes=1) % p
+    right_of = table.transpose(1, 0, 2)
+    assert (alg.left_table(a) == left).all()
+    assert (alg.right_table(a) == np.tensordot(
+        a.astype(object), right_of, axes=1) % p).all()
+    op_table = oracles.dense_table(alg.opposite()).astype(object)
+    assert (alg.opposite().left_table(a) == np.tensordot(
+        a.astype(object), op_table, axes=1) % p).all()
+    assert (alg.multiply(a[0, 0], b[0, 0])
+            == b[0, 0].astype(object) @ left[0, 0] % p).all()
+    assert (alg.form_pairing(a[0, 0]) == np.tensordot(
+        table, a[0, 0].astype(object), axes=1) % p).all()
+    arrows = np.array([alg.arrow_element(x.name) for x in alg.quiver.arrows],
+                      dtype=object).reshape(-1, d)
+    assert (alg.arrow_actions() == np.tensordot(arrows, right_of, axes=1)).all()
+    want = np.zeros((2, 2, d), dtype=object)
+    for r in range(2):
+        for c in range(2):
+            for k in range(3):
+                want[r, c] += b[k, c].astype(object) @ left[r, k]
+    assert (alg.element_matmul(a, b) == want % p).all()
+
+
 def test_element_matmul_matches_multiply(nak6, rng):
     e = np.zeros((2, 2, nak6.dim), dtype=np.int64)
     f = np.zeros((2, 2, nak6.dim), dtype=np.int64)
@@ -181,7 +238,7 @@ BIG = parse_algebra_file(str(DATA / "preproj_a3.alg"),
 def _reference_product(alg, x, y) -> list:
     """sum_ij x_i y_j table[i, j] in Python integers."""
     p = alg.field.p
-    table = alg.mult_table.tolist()
+    table = oracles.dense_table(alg).tolist()
     return [sum(x[i] * y[j] * table[i][j][m]
                 for i in range(alg.dim) for j in range(alg.dim)) % p
             for m in range(alg.dim)]

@@ -116,3 +116,24 @@ def test_no_unused_imports():
                 used.add(node.id)
         unused += [(path.name, name) for name in sorted(bound - used)]
     assert unused == []
+
+
+def test_structure_constants_stay_in_algebra():
+    # the algebra owns the format of its products: no module keeps a dense
+    # table, and only algebra.py reads the structure constants, which the
+    # rest of the package reaches through the algebra's methods
+    hits = []
+    for path in sorted((ROOT / "src" / "tautilt").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.arg, ast.keyword)):
+                name = node.arg
+            else:
+                continue
+            if name == "mult_table" or (name == "_constants"
+                                        and path.name != "algebra.py"):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
