@@ -48,6 +48,7 @@ from .modules import (
     decompose,
     iso_classes,
     minimal_presentation,
+    present_by_table,
     presented_module,
 )
 from .translate import nu_element, selfinjective_data
@@ -101,8 +102,12 @@ class TwoTermComplex:
 
     def h0(self) -> Rep:
         """The cokernel of the differential, the module the complex
-        presents (modules.presented_module)."""
-        return presented_module(self.algebra, self.deg1, self.deg0, self.d)
+        presents (modules.presented_module), from the kept left_table."""
+        if not self.d.any():
+            return presented_module(self.algebra, self.deg1, self.deg0,
+                                    self.d)
+        return present_by_table(self.algebra, self.deg1, self.deg0,
+                                self.left_table)
 
 
 def projective_stalk(algebra, verts, shifted: bool = False) -> TwoTermComplex:

@@ -542,11 +542,17 @@ def presented_module(algebra, verts1: list, verts0: list,
     target sum itself, and the shared projective_sum module is returned."""
     if not e.any():
         return projective_sum(algebra, verts0)[0]
+    return present_by_table(algebra, verts1, verts0, algebra.left_table(e))
+
+
+def present_by_table(algebra, verts1: list, verts0: list,
+                     table: np.ndarray) -> Rep:
+    """presented_module for a nonzero e, given table = algebra.left_table(e),
+    for callers that keep that table (TwoTermComplex.left_table)."""
     n = algebra.num_vertices
     s_end, s_sum, s_word = _path_basis(algebra, verts1)
     t_end, t_sum, t_word = _path_basis(algebra, verts0)
-    images = algebra.left_table(e)[t_sum, s_sum[:, None], s_word[:, None],
-                                   t_word]
+    images = table[t_sum, s_sum[:, None], s_word[:, None], t_word]
     s_cut = np.searchsorted(s_end, np.arange(n + 1))
     t_cut = np.searchsorted(t_end, np.arange(n + 1))
     rows = {v: images[s_cut[v - 1]:s_cut[v], t_cut[v - 1]:t_cut[v]]
@@ -611,7 +617,8 @@ def summand_rows(ends: list, field, rng) -> tuple | None:
     (_is_local).  ends is a basis of the endomorphisms of the module, each
     as the blocks of the map keyed by vertex.  Each basis element is tried
     for a Fitting split (_fitting_rows), then random combinations of
-    them."""
+    them, with coefficients from rng.integers; rng is touched only when
+    no basis element splits."""
     if _is_local(ends, field):
         return None
     p = field.p
@@ -631,14 +638,28 @@ def summand_rows(ends: list, field, rng) -> tuple | None:
     )
 
 
+class _SeededOnFirstDraw:
+    """np.random.default_rng(0), built at the first draw: a decompose
+    whose splits all come from basis endomorphisms never imports
+    numpy.random."""
+
+    def __init__(self):
+        self._rng = None
+
+    def integers(self, *args, **kwargs):
+        if self._rng is None:
+            self._rng = np.random.default_rng(0)
+        return self._rng.integers(*args, **kwargs)
+
+
 def decompose(m: Rep) -> list:
     """Indecomposable summands of m, with repetition, as a list of Rep: the
     two halves of a Fitting split of m by an element of End(m)
     (summand_rows), split again in turn.  The random combinations come
-    from one generator seeded at 0 per call, so the result is
-    deterministic."""
+    from one generator per call, seeded at 0 on its first draw and shared
+    by the later splits, so the result is deterministic."""
     field = m.algebra.field
-    rng = np.random.default_rng(0)
+    rng = _SeededOnFirstDraw()
 
     def split(x: Rep) -> list:
         if x.is_zero():

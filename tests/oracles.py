@@ -22,7 +22,9 @@ through dual pairs over the opposite algebra rather than by tau-minus,
 the opposite algebra is built again
 from the reversed relations rather than relabelled, minimal
 presentations come from a second projective cover rather than from the
-syzygy's top, and a map of projective sums given by an element matrix is
+syzygy's top, decompose's draws come from one generator built before
+the first split rather than at the first draw, and a map of projective
+sums given by an element matrix is
 realised one entry, one vertex and one pair of slices at a time
 (elements_to_repmap) rather than presented by one gather
 (modules.presented_module), and products come from a dense table built
@@ -69,6 +71,7 @@ from tautilt.modules import (
     simple,
     sub_rep,
     submodule_generated,
+    summand_rows,
     syzygy,
 )
 from tautilt.mutation import (
@@ -660,6 +663,20 @@ def idempotent_decompose(m: Rep, rng=None) -> list:
         candidates = [{v: sum(int(c) * f[v] % p for c, f in zip(coeffs, ends))
                        % p for v in ends[0]}]
     raise AssertionError("no splitting idempotent found")
+
+
+def eager_rng_decompose(m: Rep, rng) -> list:
+    """decompose's split loop with rng, built by the caller, passed through
+    every summand_rows call: decompose(m) must equal this with
+    rng = np.random.default_rng(0)."""
+    if m.is_zero():
+        return []
+    rows = summand_rows([f.blocks for f in hom_basis(m, m)], m.algebra.field,
+                        rng)
+    if rows is None:
+        return [m]
+    return [part for r in rows
+            for part in eager_rng_decompose(sub_rep(m, r)[0], rng)]
 
 
 # -- mutation oracle --------------------------------------------------------------

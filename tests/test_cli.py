@@ -410,11 +410,11 @@ def test_stdout_matches_golden(capsys, data_dir, argv, golden, exit_code):
     assert out.encode() == (data_dir / "golden" / golden).read_bytes()
 
 
-def _assert_runs_without_sympy(argv, code=0):
+def _assert_runs_without(module, argv, code=0):
     """main(argv) exits with code in a fresh process where importing
-    sympy fails."""
+    module fails."""
     script = ("import contextlib, io, sys\n"
-              "sys.modules['sympy'] = None\n"
+              f"sys.modules[{module!r}] = None\n"
               "from tautilt.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    code = main({argv!r})\n"
@@ -426,6 +426,10 @@ def _assert_runs_without_sympy(argv, code=0):
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def _assert_runs_without_sympy(argv, code=0):
+    _assert_runs_without("sympy", argv, code)
 
 
 def test_walk_runs_without_sympy(data_dir):
@@ -541,6 +545,19 @@ def test_check_and_report_run_without_sympy(data_dir):
                                 "rep{ dims=[2,0,0,0]; }"], code=1)
     _assert_runs_without_sympy(["phi", str(data_dir / "preproj_a3.alg"),
                                 "rep{ dims=[1,0,1]; }", "--pverts", "2"])
+
+
+def test_commands_without_a_draw_never_import_numpy_random(data_dir):
+    # decompose builds its generator at its first draw, and every term
+    # here is indecomposable, so nothing draws; the walk, report-2cy and
+    # info decompose no module at all
+    nak6 = str(data_dir / "nakayama6.alg")
+    pair = [nak6, "S(1)+S(4)+P(3)/<a3*a4>+P(6)/<a6*a1>", "--pverts", "2,5"]
+    for argv in (["check", *pair], ["phi", *pair],
+                 ["enumerate", nak6, "--filter", "nu-stable"],
+                 ["report-2cy", str(data_dir / "nakayama4.alg")],
+                 ["info", nak6]):
+        _assert_runs_without("numpy.random", argv)
 
 
 def test_residue_field_larger_than_the_prime_is_an_input_error(capsys,

@@ -313,6 +313,12 @@ def _assert_complementary_submodules(m, split, p):
                                       p) == len(inside)
 
 
+def _splitting_prime(text: str, prime: str) -> int:
+    dim = parse_algebra_text(text).dim
+    return {"smallest": nextprime(4 * dim ** 2), "default": 32003,
+            "largest": oracles.largest_exact_prime(dim)}[prime]
+
+
 @pytest.mark.parametrize("prime", ["smallest", "default", "largest"])
 @pytest.mark.parametrize("name", ["nakayama4", "preproj_a3", "N(6,4)"])
 def test_fitting_split_matches_idempotent_split(algebras, data_dir, name,
@@ -323,9 +329,7 @@ def test_fitting_split_matches_idempotent_split(algebras, data_dir, name,
     # part, must be two nonzero complementary submodules
     text = (algebras.nakayama(6, 4) if name == "N(6,4)"
             else (data_dir / f"{name}.alg").read_text())
-    dim = parse_algebra_text(text).dim
-    p = {"smallest": nextprime(4 * dim ** 2), "default": 32003,
-         "largest": oracles.largest_exact_prime(dim)}[prime]
+    p = _splitting_prime(text, prime)
     alg = parse_algebra_text(text, p)
     rng = np.random.default_rng(7)
     for m in _splitting_cases(alg, rng):
@@ -341,6 +345,30 @@ def test_fitting_split_matches_idempotent_split(algebras, data_dir, name,
             split = _fitting_rows(u, alg.field)
             if split is not None:
                 _assert_complementary_submodules(m, split, p)
+
+
+@pytest.mark.parametrize("prime", ["smallest", "default", "largest"])
+def test_decompose_draws_as_with_an_eager_generator(data_dir, prime):
+    # decompose builds its generator at the first draw and shares it with
+    # the later splits; on the splitting cases that draw (two per prime,
+    # the ones no basis endomorphism splits) the summands must be the very
+    # matrices that one default_rng(0) built up front gives
+    text = (data_dir / "preproj_a3.alg").read_text()
+    alg = parse_algebra_text(text, _splitting_prime(text, prime))
+    unused = np.random.default_rng(0).bit_generator.state
+    drawn = 0
+    for m in _splitting_cases(alg, np.random.default_rng(7)):
+        rng = np.random.default_rng(0)
+        want = oracles.eager_rng_decompose(m, rng)
+        if rng.bit_generator.state == unused:
+            continue
+        drawn += 1
+        got = decompose(m)
+        assert len(got) == len(want) > 1
+        for g, w in zip(got, want):
+            assert g.dims == w.dims
+            assert all(np.array_equal(g.maps[a], w.maps[a]) for a in w.maps)
+    assert drawn == 2
 
 
 @pytest.mark.parametrize("name", ["nakayama4", "preproj_a3", "N(6,4)", "pa4"])
