@@ -259,6 +259,8 @@ class BoundQuiverAlgebra:
         self._constants = constants or self._structure_constants()
         self._opposite = None
         self._cache = {}
+        # what the parser read, for algebra_json; set by textio
+        self.file_meta = None
 
     def _structure_constants(self) -> tuple:
         """(i, j, m, c): one gather of the canon rows of the products of
@@ -473,6 +475,23 @@ class BoundQuiverAlgebra:
             op._opposite = self
             self._opposite = op
         return self._opposite
+
+    def release(self) -> None:
+        """Drop the caches of this algebra and of its opposite, and unlink
+        the two.  Cached modules point back at their algebra, so while a
+        cache or the opposite link is kept the algebra sits in reference
+        cycles that only the cyclic collector frees; after release() it is
+        freed by reference counting as soon as its last user lets go.
+        cli.main calls this when each command returns; a long-running
+        library caller that is done with an algebra may call it too.
+        Both algebras stay usable: caches are rebuilt on demand, opposite()
+        builds a new opposite, and file_meta stays.  Calling it again is
+        harmless."""
+        op, self._opposite = self._opposite, None
+        self._cache.clear()
+        if op is not None:
+            op._opposite = None
+            op._cache.clear()
 
     # -- formatting -------------------------------------------------------
 

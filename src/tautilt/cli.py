@@ -96,8 +96,7 @@ def _summand_classes(algebra, expr: str) -> tuple:
     return iso_classes(parts)
 
 
-def cmd_info(args) -> int:
-    algebra = parse_algebra_file(args.algebra, args.field_p)
+def cmd_info(algebra, args) -> int:
     pdims = [projective(algebra, v).total_dim
              for v in range(1, algebra.num_vertices + 1)]
     selfinj = is_selfinjective(algebra)
@@ -125,8 +124,7 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    algebra = parse_algebra_file(args.algebra, args.field_p)
+def cmd_check(algebra, args) -> int:
     required = tuple(s.strip() for s in args.require.split(",") if s.strip())
     for name in required:
         if name not in CHECK_FLAGS:
@@ -165,8 +163,7 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_phi(args) -> int:
-    algebra = parse_algebra_file(args.algebra, args.field_p)
+def cmd_phi(algebra, args) -> int:
     pverts = _parse_pverts(args.pverts)
     classes, mults = _summand_classes(algebra, args.modules)
     if any(k > 1 for k in mults):
@@ -205,8 +202,7 @@ def _enumeration_entries(algebra, args):
     return pe.status, pe.silting, rows, selfinj
 
 
-def cmd_enumerate(args) -> int:
-    algebra = parse_algebra_file(args.algebra, args.field_p)
+def cmd_enumerate(algebra, args) -> int:
     if args.filter == "nu-stable" and not is_selfinjective(algebra):
         raise NotSelfinjectiveError(
             "the nu-stable filter needs a selfinjective algebra")
@@ -245,8 +241,7 @@ def cmd_enumerate(args) -> int:
     return 0 if status == "COMPLETE" else 3
 
 
-def cmd_report_2cy(args) -> int:
-    algebra = parse_algebra_file(args.algebra, args.field_p)
+def cmd_report_2cy(algebra, args) -> int:
     report = two_cy_obstruction_report(algebra, args.cap)
     doc = {
         "algebra": algebra_json(algebra),
@@ -326,10 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code.  The algebra file is
+    parsed once, before the subcommand runs, and released when it returns
+    (BoundQuiverAlgebra.release), so a process that runs many commands
+    frees each command's algebra, its opposite and their cached modules
+    by reference counting."""
+    args = build_parser().parse_args(argv)
+    algebra = None
     try:
-        return args.func(args)
+        algebra = parse_algebra_file(args.algebra, args.field_p)
+        return args.func(algebra, args)
     except (NotSupportTauTiltingError, NotSiltingError, NotCompletableError,
             NotInFacError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -345,6 +346,9 @@ def main(argv=None) -> int:
     except (ParseError, TautiltError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if algebra is not None:
+            algebra.release()
 
 
 if __name__ == "__main__":

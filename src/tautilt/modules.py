@@ -399,6 +399,8 @@ def submodule_generated(m: Rep, gens: list) -> dict:
 
 
 def radical_rows(m: Rep) -> dict:
+    """Rows spanning the radical of m at each vertex, in reduced row
+    echelon form (field.row_space_basis)."""
     field = m.algebra.field
     out = {}
     for v in m.dims:
@@ -447,7 +449,9 @@ def top_generators(m: Rep) -> list:
     for v in sorted(m.dims):
         if m.dims[v] == 0:
             continue
-        pivset = set(field.rref(rad[v])[1])
+        # radical_rows is in reduced row echelon form: each row's first
+        # nonzero entry is its pivot
+        pivset = {int(np.flatnonzero(row)[0]) for row in rad[v]}
         for j in range(m.dims[v]):
             if j not in pivset:
                 row = field.zeros(1, m.dims[v])[0]
@@ -655,21 +659,23 @@ class _SeededOnFirstDraw:
 def decompose(m: Rep) -> list:
     """Indecomposable summands of m, with repetition, as a list of Rep: the
     two halves of a Fitting split of m by an element of End(m)
-    (summand_rows), split again in turn.  The random combinations come
-    from one generator per call, seeded at 0 on its first draw and shared
-    by the later splits, so the result is deterministic."""
-    field = m.algebra.field
-    rng = _SeededOnFirstDraw()
+    (summand_rows), split again in turn (_split).  The random combinations
+    come from one generator per call, seeded at 0 on its first draw and
+    passed down to the later splits, so the result is deterministic.  The
+    recursion is a module-level function, not a closure over itself, so a
+    call leaves no reference cycle behind."""
+    return _split(m, _SeededOnFirstDraw())
 
-    def split(x: Rep) -> list:
-        if x.is_zero():
-            return []
-        rows = summand_rows([f.blocks for f in hom_basis(x, x)], field, rng)
-        if rows is None:
-            return [x]
-        return [part for r in rows for part in split(sub_rep(x, r)[0])]
 
-    return split(m)
+def _split(x: Rep, rng) -> list:
+    """decompose's recursion: x split by summand_rows, each half in turn."""
+    if x.is_zero():
+        return []
+    rows = summand_rows([f.blocks for f in hom_basis(x, x)],
+                        x.algebra.field, rng)
+    if rows is None:
+        return [x]
+    return [part for r in rows for part in _split(sub_rep(x, r)[0], rng)]
 
 
 def _indec_iso(m: Rep, n: Rep) -> bool:

@@ -328,14 +328,15 @@ class ItemMasks:
     """A fact about ordered pairs of registry items, kept per item i as two
     bitmasks over item ids: the j for which fact(i, j) is known, and the j
     for which it holds.  Facts are computed on first need, so a set of
-    items is checked with one AND per item once its pairs are known."""
+    items is checked with one AND per item once its pairs are known.  The
+    fact is passed to each all_hold call and not kept, so an owner whose
+    fact is one of its own methods holds no reference cycle."""
 
-    def __init__(self, fact):
-        self._fact = fact
+    def __init__(self):
         self._known: dict = {}
         self._holds: dict = {}
 
-    def all_hold(self, ids) -> bool:
+    def all_hold(self, ids, fact) -> bool:
         """Whether fact(i, j) for all i and j in ids.  Unknown pairs are
         computed row by row in the order of ids, stopping at the first
         pair where the fact fails."""
@@ -350,7 +351,7 @@ class ItemMasks:
                     bit = 1 << j
                     if not known & bit:
                         known |= bit
-                        if self._fact(i, j):
+                        if fact(i, j):
                             holds |= bit
                     if not holds & bit:
                         break
@@ -386,8 +387,7 @@ class EnumerationResult:
         self._nu_cache: dict = {}
         self._masks: dict = {}
         self._maps = _PairMaps()
-        self._no_negative = ItemMasks(
-            lambda i, j: self.hom_shift(i, j, -1) == 0)
+        self._no_negative = ItemMasks()
 
     def node_complex(self, node) -> TwoTermComplex:
         return sum_complexes([self.registry.items[i] for i in sorted(node)])
@@ -421,7 +421,10 @@ class EnumerationResult:
 
     def is_node_tilting(self, node) -> bool:
         """Whether Hom(i, j[-1]) = 0 for all items i and j of the node."""
-        return self._no_negative.all_hold(node)
+        return self._no_negative.all_hold(node, self._no_negative_hom)
+
+    def _no_negative_hom(self, i: int, j: int) -> bool:
+        return self.hom_shift(i, j, -1) == 0
 
     def nu_id(self, i: int) -> int:
         if i not in self._nu_cache:
@@ -526,7 +529,9 @@ def find_stable_completion(result: EnumerationResult, node,
     (node - orbit) + Y is presilting with a full count of items, so
     silting, and fixed by the Nakayama functor, so tilting; a second such
     Y is a TheoremViolationError (the tests observe exactly one stable
-    node besides node that contains node - orbit)."""
+    node besides node that contains node - orbit).  The unions are
+    searched by _unions, a module-level recursion rather than a closure
+    over itself, so a call leaves no reference cycle behind."""
     found = (1 << len(result.registry)) - 1
     for q in node:
         found &= ~(1 << q)
@@ -544,23 +549,28 @@ def find_stable_completion(result: EnumerationResult, node,
                 mask &= result.compatible_mask(j)
             if bits & found & mask == bits:
                 candidates.append((other, bits, mask))
-    unions = []
-
-    def grow(k: int, items: frozenset, mask: int) -> None:
-        if len(items) == len(orbit):
-            unions.append(items)
-            return
-        for m in range(k, len(candidates)):
-            other, bits, own = candidates[m]
-            if len(items) + len(other) <= len(orbit) and bits & mask == bits:
-                grow(m + 1, items | other, mask & own)
-
-    grow(0, frozenset(), found)
+    unions = _unions(candidates, len(orbit), 0, frozenset(), found)
     if len(unions) > 1:
         raise TheoremViolationError(
             f"{len(unions)} other stable nodes contain a stable node less "
             "one orbit")
     return unions[0] if unions else None
+
+
+def _unions(candidates: list, size: int, k: int, items: frozenset,
+            mask: int) -> list:
+    """find_stable_completion's search, depth first: the unions of items
+    with candidates from candidates[k:] that have size items, where each
+    candidate taken lies in mask, the AND of the masks taken so far."""
+    if len(items) == size:
+        return [items]
+    unions = []
+    for m in range(k, len(candidates)):
+        other, bits, own = candidates[m]
+        if len(items) + len(other) <= size and bits & mask == bits:
+            unions += _unions(candidates, size, m + 1, items | other,
+                              mask & own)
+    return unions
 
 
 def _mutate_orbit(result: EnumerationResult, node, orbit) -> frozenset:

@@ -372,8 +372,7 @@ class PairEnumeration:
         self._support = [0 if m is None else
                          sum(1 << v for v, k in m.dims.items() if k)
                          for m in self.tops]
-        self._rigid = ItemMasks(lambda i, j: self.tables.hom_vanishes(
-            [self.tops[i]], [self.tables.image(tau, self.tops[j])]))
+        self._rigid = ItemMasks()
 
     def is_node_support_tau_tilting(self, node) -> bool:
         """is_support_tau_tilting_pair for the pair of a set of registry
@@ -390,7 +389,12 @@ class PairEnumeration:
             return False
         if len(node) != self.algebra.num_vertices:
             return False
-        return self._rigid.all_hold(mods)
+        return self._rigid.all_hold(mods, self._no_hom_to_tau)
+
+    def _no_hom_to_tau(self, i: int, j: int) -> bool:
+        """Hom(top_i, tau top_j) = 0."""
+        return self.tables.hom_vanishes(
+            [self.tops[i]], [self.tables.image(tau, self.tops[j])])
 
 
 def _pair_enumeration(algebra, enum: EnumerationResult) -> PairEnumeration:

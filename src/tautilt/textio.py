@@ -210,7 +210,7 @@ def parse_algebra_text(text: str, field_p: int | None = None) -> BoundQuiverAlge
         algebra = build_algebra(quiver, relations, PrimeField(p))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    algebra._cache["file_meta"] = {
+    algebra.file_meta = {
         "p": p,
         "vertices": num_vertices,
         "arrows": [[a.name, a.source, a.target] for a in arrows],
@@ -463,7 +463,7 @@ def complex_json(blocks) -> dict:
 
 
 def algebra_json(algebra) -> dict:
-    meta = algebra._cache.get("file_meta")
+    meta = algebra.file_meta
     if meta is not None:
         return dict(meta)
     return {

@@ -582,6 +582,9 @@ def test_projectives_survive_check_and_enumerate(capsys, monkeypatch,
     alg = parse_algebra_file(path)
     assert projective(alg, 1) is projective(alg, 1)
     monkeypatch.setattr(cli, "parse_algebra_file", lambda *_: alg)
+    # main releases the algebra after each command; keep its caches so the
+    # second command shares the first one's modules
+    monkeypatch.setattr(alg, "release", lambda: None)
     assert run(capsys, "check", path, "S(1)+P(1)/<a1*a2>+P(3)",
                "--pverts", "2")[0] in (0, 1)
     assert run(capsys, "enumerate", path)[0] == 0
@@ -604,6 +607,9 @@ def test_projective_sums_survive_check_and_enumerate(capsys, monkeypatch,
     first = projective_sum(alg, [1, 3, 1])
     assert projective_sum(alg, (1, 3, 1)) is first
     monkeypatch.setattr(cli, "parse_algebra_file", lambda *_: alg)
+    # main releases the algebra after each command; keep its caches so the
+    # second command shares the first one's modules
+    monkeypatch.setattr(alg, "release", lambda: None)
     assert run(capsys, "check", path, "S(1)+P(1)/<a1*a2>+P(3)",
                "--pverts", "2")[0] in (0, 1)
     assert run(capsys, "enumerate", path)[0] == 0
