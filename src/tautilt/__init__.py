@@ -31,8 +31,6 @@ from .errors import (
     MixedEndpointsError,
     MutationAmbiguousError,
     NonAdmissibleError,
-    NotCompletableError,
-    NotInFacError,
     NotSelfinjectiveError,
     NotSiltingError,
     NotSupportTauTiltingError,
@@ -51,7 +49,6 @@ from .modules import (
     decompose,
     direct_sum,
     dual,
-    fac_contains,
     hom_basis,
     hom_dim,
     injective,
@@ -61,11 +58,8 @@ from .modules import (
     radical_rows,
     regular,
     simple,
-    socle_rows,
     sub_rep,
-    submodule_generated,
     syzygy,
-    top,
     zero_module,
 )
 from .mutation import (
@@ -79,18 +73,13 @@ from .pairs import (
     PairEnumeration,
     STPair,
     complex_to_pair,
-    completion_projectives,
     enumerate_nu_stable,
     enumerate_support_tau_tilting,
-    fac_equal,
     gorenstein_injdim_le1,
-    is_ext_projective_in_fac,
     is_nu_stable_pair,
     is_support_tau_minus_tilting,
     is_support_tau_tilting_pair,
-    is_tau_rigid,
     make_pair,
-    nu_stable_torsion_check,
     pair_to_complex,
     two_cy_obstruction_report,
 )

@@ -294,11 +294,6 @@ class BoundQuiverAlgebra:
         x[self._trivial[v]] = 1
         return x
 
-    def arrow_element(self, name: str) -> np.ndarray:
-        x = self.zero()
-        x[self._arrow_pos[self.quiver.arrow_index(name)]] = 1
-        return x
-
     def element_from_path(self, names) -> np.ndarray:
         """Canonical coordinates of a composable path given by arrow names."""
         ids = tuple(self.quiver.arrow_index(nm) for nm in names)
@@ -311,14 +306,8 @@ class BoundQuiverAlgebra:
             return self.zero()
         return self._canon[self._word_index[(self.quiver.arrows[ids[0]].source, ids)]].copy()
 
-    def source_of(self, basis_index: int) -> int:
-        return int(self._sources[basis_index])
-
     def target_of(self, basis_index: int) -> int:
         return int(self._targets[basis_index])
-
-    def word_length(self, basis_index: int) -> int:
-        return int(self._lengths[basis_index])
 
     def slice_indices(self, i: int, j: int) -> list[int]:
         """Basis indices of paths from i to j."""

@@ -17,8 +17,6 @@ import sys
 from .errors import (
     FieldTooSmallError,
     MutationAmbiguousError,
-    NotCompletableError,
-    NotInFacError,
     NotSelfinjectiveError,
     NotSiltingError,
     NotSupportTauTiltingError,
@@ -331,8 +329,7 @@ def main(argv=None) -> int:
     try:
         algebra = parse_algebra_file(args.algebra, args.field_p)
         return args.func(algebra, args)
-    except (NotSupportTauTiltingError, NotSiltingError, NotCompletableError,
-            NotInFacError) as exc:
+    except (NotSupportTauTiltingError, NotSiltingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TheoremViolationError, MutationAmbiguousError,

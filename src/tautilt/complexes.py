@@ -24,7 +24,7 @@ are isomorphic exactly when their vertex lists agree and their cokernels
 are isomorphic (complexes_isomorphic).  Minimal presentations of modules
 are isomorphic exactly when the modules are, so the summand classes of c
 are the classes of the summands of H^0(c) (modules.iso_classes), plus
-one class per stalk vertex (summand_classes).  The silting test,
+one class per stalk vertex (_classes).  The silting test,
 transport to a pair and mutation all read the classes of one such split
 (silting_classes).  All of these reject a complex that is not minimal.
 An item of the enumeration's registry, whose endomorphism ring is local,
@@ -417,12 +417,6 @@ def _classes(c: TwoTermComplex) -> list:
            for m, k in zip(modules, mults)]
     return out + [(None, projective_stalk(c.algebra, [v], shifted=True), k)
                   for v, k in sorted(Counter(stalks).items())]
-
-
-def summand_classes(c: TwoTermComplex) -> list:
-    """Indecomposable summands of a minimal complex grouped up to
-    isomorphism, as a list of (representative, multiplicity) (_classes)."""
-    return [(x, k) for _, x, k in _classes(c)]
 
 
 def complexes_isomorphic(p: TwoTermComplex, q: TwoTermComplex) -> bool:

@@ -63,15 +63,6 @@ class NotSupportTauTiltingError(TautiltError):
     """Operation requires a support tau-tilting pair."""
 
 
-class NotInFacError(TautiltError):
-    """Ext-projectivity asked for a module outside the torsion class."""
-
-
-class NotCompletableError(TautiltError):
-    """A tau-rigid module whose zero-support vertices do not complete it
-    to a support tau-tilting pair."""
-
-
 class MutationAmbiguousError(TautiltError):
     """Silting mutation did not produce exactly one two-term candidate;
     this is an internal assertion and should never fire."""

@@ -182,18 +182,6 @@ class PrimeField:
         sol = self.solve_right(a.T, b.T)
         return None if sol is None else sol.T
 
-    def inverse(self, a: np.ndarray) -> np.ndarray:
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("inverse of a non-square matrix")
-        # a @ x = 1 has a solution only when the square matrix a is invertible
-        x = self.solve_right(a, self.identity(a.shape[0]))
-        if x is None:
-            raise ValueError("matrix is singular")
-        return x
-
-    def is_invertible(self, a: np.ndarray) -> bool:
-        return a.shape[0] == a.shape[1] and self.rank(a) == a.shape[0]
-
     # -- guards -----------------------------------------------------------
 
     def check_trace_bound(self, dim: int):

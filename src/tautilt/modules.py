@@ -127,37 +127,8 @@ class RepMap:
                     b = field.reduce(b)
             self.blocks[v] = b
 
-    def compose(self, other: "RepMap") -> "RepMap":
-        """self followed by other.  The middle objects may be distinct
-        instances as long as they are equal on the nose."""
-        mid, src = self.tgt, other.src
-        if src is not mid:
-            if src.algebra is not mid.algebra or src.dims != mid.dims or any(
-                    (src.maps[a.name] != mid.maps[a.name]).any()
-                    for a in src.algebra.quiver.arrows):
-                raise ValueError("maps do not compose")
-        field = self.src.algebra.field
-        return RepMap(self.src, other.tgt,
-                      {v: field.matmul(self.blocks[v], other.blocks[v])
-                       for v in self.blocks})
-
     def is_zero(self) -> bool:
         return not any(b.any() for b in self.blocks.values())
-
-    def is_iso(self) -> bool:
-        field = self.src.algebra.field
-        return all(b.shape[0] == b.shape[1] and field.is_invertible(b)
-                   for b in self.blocks.values())
-
-    def inverse(self) -> "RepMap":
-        field = self.src.algebra.field
-        return RepMap(self.tgt, self.src,
-                      {v: field.inverse(self.blocks[v]) for v in self.blocks})
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [self.blocks[v].ravel() for v in sorted(self.blocks)]
-        ) if self.blocks else np.zeros(0, dtype=np.int64)
 
     def __repr__(self):
         return f"RepMap({self.src!r} -> {self.tgt!r})"
@@ -309,7 +280,7 @@ def is_indecomposable(m: Rep) -> bool:
     return _is_local([f.blocks for f in hom_basis(m, m)], m.algebra.field)
 
 
-# -- submodules, quotients, radical, socle ----------------------------------
+# -- submodules, quotients, radical ----------------------------------------
 
 
 def sub_rep(m: Rep, rows: dict) -> tuple:
@@ -376,28 +347,6 @@ def quotient_rep(m: Rep, rows: dict) -> tuple:
     return quo, RepMap(m, quo, proj)
 
 
-def submodule_generated(m: Rep, gens: list) -> dict:
-    """Row spans, per vertex, of the submodule generated by the given
-    (vertex, row vector) pairs."""
-    field = m.algebra.field
-    rows = {v: [] for v in m.dims}
-    for v, row in gens:
-        rows[v].append(field.reduce(row))
-    spans = {v: field.row_space_basis(np.array(rows[v], dtype=np.int64))
-             if rows[v] else field.zeros(0, m.dims[v]) for v in m.dims}
-    changed = True
-    while changed:
-        changed = False
-        for a in m.algebra.quiver.arrows:
-            moved = field.matmul(spans[a.source], m.maps[a.name])
-            stacked = np.vstack([spans[a.target], moved])
-            nb = field.row_space_basis(stacked)
-            if nb.shape[0] != spans[a.target].shape[0]:
-                spans[a.target] = nb
-                changed = True
-    return spans
-
-
 def radical_rows(m: Rep) -> dict:
     """Rows spanning the radical of m at each vertex, in reduced row
     echelon form (field.row_space_basis)."""
@@ -408,25 +357,6 @@ def radical_rows(m: Rep) -> dict:
                   if a.target == v and m.dims[a.source]]
         out[v] = (field.row_space_basis(np.vstack(blocks))
                   if blocks and m.dims[v] else field.zeros(0, m.dims[v]))
-    return out
-
-
-def radical(m: Rep) -> tuple:
-    return sub_rep(m, radical_rows(m))
-
-
-def top(m: Rep) -> tuple:
-    """(top, projection m -> top)."""
-    return quotient_rep(m, radical_rows(m))
-
-
-def socle_rows(m: Rep) -> dict:
-    field = m.algebra.field
-    out = {}
-    for v in m.dims:
-        blocks = [m.maps[a.name] for a in m.algebra.quiver.arrows if a.source == v]
-        out[v] = (field.left_kernel_basis(np.hstack(blocks))
-                  if blocks else field.identity(m.dims[v]))
     return out
 
 
@@ -730,23 +660,3 @@ def are_isomorphic(m: Rep, n: Rep) -> bool:
     if m.is_zero():
         return True
     return same_summands(decompose(m), decompose(n))
-
-
-# -- generated quotients ----------------------------------------------------
-
-
-def fac_contains(m: Rep, x: Rep) -> bool:
-    """Whether x is a quotient of a finite sum of copies of m: the images
-    of all maps m -> x must fill x."""
-    _check_same(m, x)
-    field = m.algebra.field
-    fs = hom_basis(m, x)
-    for v in x.dims:
-        if x.dims[v] == 0:
-            continue
-        if not fs:
-            return False
-        stacked = np.vstack([f.blocks[v] for f in fs])
-        if field.rank(stacked) < x.dims[v]:
-            return False
-    return True

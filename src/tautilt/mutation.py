@@ -234,16 +234,12 @@ def g_vector_key(c: TwoTermComplex) -> tuple:
     return tuple(sorted(c.deg1)), tuple(sorted(c.deg0))
 
 
-def require_local(c: TwoTermComplex) -> None:
-    """Raise MutationAmbiguousError unless End_K(c) of the minimal complex c
-    is local with residue field the ground field: the trace pairing
-    tr(T(f) T(g)) of the top actions on End_K(c) must have rank one, as in
+def require_local(c: TwoTermComplex, ends) -> None:
+    """Raise MutationAmbiguousError unless End_K(c) of the minimal complex c,
+    with basis ends (chain_maps_mod_homotopy(c, c)), is local with residue
+    field the ground field: the trace pairing tr(T(f) T(g)) of the top
+    actions on End_K(c) must have rank one, as in
     modules.is_indecomposable."""
-    _require_local(c, chain_maps_mod_homotopy(c, c))
-
-
-def _require_local(c: TwoTermComplex, ends) -> None:
-    """require_local with ends, a basis of End_K(c), given."""
     if not _is_local([{0: top_action(c, f1, f0)} for f1, f0 in ends],
                      c.algebra.field):
         raise MutationAmbiguousError(
@@ -268,7 +264,7 @@ def mutate_summand(x: TwoTermComplex, q_reps: list, *,
         raise MutationAmbiguousError("mutation produced a fixed summand")
     if g_vector_key(y) == g_vector_key(x):
         raise MutationAmbiguousError("mutation reproduced the mutated summand")
-    _require_local(y, maps.homs(y, y))
+    require_local(y, maps.homs(y, y))
     return y
 
 

@@ -46,8 +46,6 @@ from .complexes import (
     sum_complexes,
 )
 from .errors import (
-    NotCompletableError,
-    NotInFacError,
     NotSiltingError,
     NotSupportTauTiltingError,
     TheoremViolationError,
@@ -57,7 +55,6 @@ from .modules import (
     _indec_iso,
     direct_sum,
     dual,
-    fac_contains,
     hom_dim as module_hom_dim,
     is_indecomposable,
     minimal_presentation,
@@ -78,7 +75,6 @@ from .translate import (
     is_selfinjective,
     nakayama_permutation,
     nu_module,
-    selfinjective_data,
     tau,
     tau_minus,
 )
@@ -116,11 +112,6 @@ def _check_pverts(algebra, pverts):
 def make_pair(algebra, modules, pverts) -> STPair:
     mods = tuple(sorted(modules, key=lambda m: (m.total_dim, m.dim_vector())))
     return STPair(algebra, mods, tuple(sorted(pverts)))
-
-
-def is_tau_rigid(x: Rep) -> bool:
-    """No nonzero maps from x to its translate."""
-    return module_hom_dim(x, tau(x)) == 0
 
 
 class SummandTables:
@@ -225,26 +216,6 @@ def is_support_tau_tilting_pair(pair: STPair,
         return False
     tables = SummandTables() if tables is None else tables
     return tables.tau_rigid(pair.modules)
-
-
-def completion_projectives(modules: list, algebra=None) -> tuple:
-    """The unique complement vertex set making a tau-rigid module list into
-    a support tau-tilting pair, when one exists."""
-    if algebra is None:
-        if not modules:
-            raise ValueError("an empty module list needs an explicit algebra")
-        algebra = modules[0].algebra
-    pair = make_pair(algebra, modules, ())
-    x = pair.module_sum()
-    pverts = tuple(v for v in range(1, algebra.num_vertices + 1)
-                   if x.dims[v] == 0)
-    candidate = STPair(algebra, pair.modules, pverts)
-    if not is_support_tau_tilting_pair(candidate):
-        raise NotCompletableError(
-            "zero-support vertices do not complete the module to a "
-            "support tau-tilting pair"
-        )
-    return pverts
 
 
 def is_nu_stable_pair(pair: STPair,
@@ -469,28 +440,6 @@ def _nu_stable_enumeration(algebra, walk: EnumerationResult) -> PairEnumeration:
             out.node_index[node] = len(out.pairs)
             out.pairs.append(pair)
     return out
-
-
-# -- torsion classes ------------------------------------------------------------
-
-
-def fac_equal(x: Rep, y: Rep) -> bool:
-    """Whether x and y generate the same quotient-closed class."""
-    return fac_contains(x, y) and fac_contains(y, x)
-
-
-def is_ext_projective_in_fac(m: Rep, x: Rep) -> bool:
-    """Whether extensions of m by anything generated by x split, via the
-    vanishing of Hom(x, tau m)."""
-    if not fac_contains(x, m):
-        raise NotInFacError("the module is not generated by x")
-    return module_hom_dim(x, tau(m)) == 0
-
-
-def nu_stable_torsion_check(x: Rep) -> bool:
-    """Whether x and its Nakayama image generate the same class."""
-    selfinjective_data(x.algebra)
-    return fac_equal(x, nu_module(x))
 
 
 # -- the obstruction battery ----------------------------------------------------

@@ -29,8 +29,11 @@ realised one entry, one vertex and one pair of slices at a time
 (elements_to_repmap) rather than presented by one gather
 (modules.presented_module), and products come from a dense table built
 one pair of basis words at a time (dense_table) rather than from the
-algebra's nonzero structure constants.  ext1_dim and is_nu_stable_module
-are not oracles but module functions that only the tests call.
+algebra's nonzero structure constants.  ext1_dim, is_nu_stable_module,
+the module-map helpers (repmap_compose and the rest), submodule_generated,
+top, radical, socle_rows, summand_classes and the torsion-class route
+(fac_contains, fac_equal, nu_stable_torsion_check) are not oracles but
+helpers that only the tests call.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from tautilt.algebra import (
     Relation,
     build_algebra,
 )
-from tautilt.complexes import TwoTermComplex
+from tautilt.complexes import TwoTermComplex, _classes
 from tautilt.errors import (
     FieldTooSmallError,
     PrimeTooLargeError,
@@ -70,7 +73,6 @@ from tautilt.modules import (
     radical_rows,
     simple,
     sub_rep,
-    submodule_generated,
     summand_rows,
     syzygy,
 )
@@ -90,7 +92,13 @@ from tautilt.pairs import (
     is_support_tau_tilting_pair,
     make_pair,
 )
-from tautilt.translate import nakayama_permutation, nu_module, tau, tau_minus
+from tautilt.translate import (
+    nakayama_permutation,
+    nu_module,
+    selfinjective_data,
+    tau,
+    tau_minus,
+)
 
 
 # -- self-contained linear algebra ----------------------------------------------
@@ -406,6 +414,95 @@ def percall_element_matmul(alg, a, b) -> np.ndarray:
     return alg.field.matmul(left, right).reshape(r, d, c).transpose(0, 2, 1)
 
 
+# -- module maps, submodules and tops -------------------------------------------
+
+
+def repmap_compose(f: RepMap, g: RepMap) -> RepMap:
+    """f followed by g.  The middle objects may be distinct instances as
+    long as they are equal on the nose."""
+    mid, src = f.tgt, g.src
+    if src is not mid:
+        if src.algebra is not mid.algebra or src.dims != mid.dims or any(
+                (src.maps[a.name] != mid.maps[a.name]).any()
+                for a in src.algebra.quiver.arrows):
+            raise ValueError("maps do not compose")
+    field = f.src.algebra.field
+    return RepMap(f.src, g.tgt, {v: field.matmul(f.blocks[v], g.blocks[v])
+                                 for v in f.blocks})
+
+
+def matrix_inverse(field, a: np.ndarray) -> np.ndarray:
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("inverse of a non-square matrix")
+    # a @ x = 1 has a solution only when the square matrix a is invertible
+    x = field.solve_right(a, field.identity(a.shape[0]))
+    if x is None:
+        raise ValueError("matrix is singular")
+    return x
+
+
+def is_invertible(field, a: np.ndarray) -> bool:
+    return a.shape[0] == a.shape[1] and field.rank(a) == a.shape[0]
+
+
+def repmap_is_iso(f: RepMap) -> bool:
+    field = f.src.algebra.field
+    return all(is_invertible(field, b) for b in f.blocks.values())
+
+
+def repmap_inverse(f: RepMap) -> RepMap:
+    field = f.src.algebra.field
+    return RepMap(f.tgt, f.src, {v: matrix_inverse(field, b)
+                                 for v, b in f.blocks.items()})
+
+
+def repmap_flatten(f: RepMap) -> np.ndarray:
+    return np.concatenate(
+        [f.blocks[v].ravel() for v in sorted(f.blocks)]
+    ) if f.blocks else np.zeros(0, dtype=np.int64)
+
+
+def submodule_generated(m: Rep, gens: list) -> dict:
+    """Row spans, per vertex, of the submodule generated by the given
+    (vertex, row vector) pairs."""
+    field = m.algebra.field
+    rows = {v: [] for v in m.dims}
+    for v, row in gens:
+        rows[v].append(field.reduce(row))
+    spans = {v: field.row_space_basis(np.array(rows[v], dtype=np.int64))
+             if rows[v] else field.zeros(0, m.dims[v]) for v in m.dims}
+    changed = True
+    while changed:
+        changed = False
+        for a in m.algebra.quiver.arrows:
+            moved = field.matmul(spans[a.source], m.maps[a.name])
+            stacked = np.vstack([spans[a.target], moved])
+            nb = field.row_space_basis(stacked)
+            if nb.shape[0] != spans[a.target].shape[0]:
+                spans[a.target] = nb
+                changed = True
+    return spans
+
+
+def radical(m: Rep) -> tuple:
+    return sub_rep(m, radical_rows(m))
+
+
+def top(m: Rep) -> tuple:
+    """(top, projection m -> top)."""
+    return quotient_rep(m, radical_rows(m))
+
+
+def socle_rows(m: Rep) -> dict:
+    field = m.algebra.field
+    out = {}
+    for v in m.dims:
+        blocks = [m.maps[a.name] for a in m.algebra.quiver.arrows if a.source == v]
+        out[v] = (field.left_kernel_basis(np.hstack(blocks))
+                  if blocks else field.identity(m.dims[v]))
+    return out
+
+
 # -- element matrices of maps between projective sums ---------------------------
 
 
@@ -539,9 +636,9 @@ def _module_to_complex(algebra, s: Rep):
                   {v: s.maps[f"@{v}"] for v in range(1, n + 1)})
     _, cm1, verts1 = projective_cover(layer1)
     _, cm0, verts0 = projective_cover(layer0)
-    if not (cm1.is_iso() and cm0.is_iso()):
+    if not (repmap_is_iso(cm1) and repmap_is_iso(cm0)):
         raise AssertionError("triangular summand has a non-projective layer")
-    comp = cm1.compose(conn).compose(cm0.inverse())
+    comp = repmap_compose(repmap_compose(cm1, conn), repmap_inverse(cm0))
     return TwoTermComplex(algebra, verts1, verts0,
                           repmap_to_elements(comp, verts1, verts0),
                           check=False)
@@ -563,6 +660,13 @@ def triangular_isomorphic(p, q) -> bool:
     if sorted(p.deg1) != sorted(q.deg1) or sorted(p.deg0) != sorted(q.deg0):
         return False
     return are_isomorphic(complex_to_module(p), complex_to_module(q))
+
+
+def summand_classes(c: TwoTermComplex) -> list:
+    """Indecomposable summands of a minimal complex grouped up to
+    isomorphism, as a list of (representative, multiplicity), from the
+    package's one split of the complex (complexes._classes)."""
+    return [(x, k) for _, x, k in _classes(c)]
 
 
 # -- idempotent splitter -----------------------------------------------------------
@@ -828,14 +932,15 @@ def nakayama_oracle(algebra):
     op = algebra.opposite()
     nu = algebra.field.zeros(algebra.dim, algebra.dim)
     for k in range(algebra.dim):
-        i, j = algebra.source_of(k), algebra.target_of(k)
+        i, j = algebra.basis_words[k][0], algebra.target_of(k)
         x = algebra.zero()
         x[k] = 1
         # the opposite algebra shares the coordinates of the algebra
         op_map = elements_to_repmap(op, [i], [j], x.reshape(1, 1, -1))
         nu_map = RepMap(dual(op_map.tgt), dual(op_map.src),
                         {v: b.T.copy() for v, b in op_map.blocks.items()})
-        conj = phis[j].inverse().compose(nu_map).compose(phis[i])
+        conj = repmap_compose(repmap_compose(repmap_inverse(phis[j]), nu_map),
+                              phis[i])
         nu[k] = repmap_to_elements(conj, [perm[j]], [perm[i]])[0, 0]
     return perm, nu
 
@@ -883,7 +988,7 @@ def reference_presentation(m: Rep) -> tuple:
     inclusion into the first cover, read off as an element matrix."""
     ker, incl, _, verts0 = syzygy(m)
     _, kcover, verts1 = projective_cover(ker)
-    e = repmap_to_elements(kcover.compose(incl), verts1, verts0)
+    e = repmap_to_elements(repmap_compose(kcover, incl), verts1, verts0)
     return verts1, verts0, e
 
 
@@ -926,13 +1031,43 @@ def ext1_dim(m: Rep, n: Rep) -> int:
     if not cover_maps:
         return len(target)
     field = m.algebra.field
-    restricted = np.array([incl.compose(h).flatten() for h in cover_maps],
-                          dtype=np.int64)
+    restricted = np.array([repmap_flatten(repmap_compose(incl, h))
+                           for h in cover_maps], dtype=np.int64)
     return len(target) - field.rank(restricted)
 
 
 def is_nu_stable_module(m: Rep) -> bool:
     return are_isomorphic(m, nu_module(m))
+
+
+# -- torsion classes ------------------------------------------------------------
+
+
+def fac_contains(m: Rep, x: Rep) -> bool:
+    """Whether x is a quotient of a finite sum of copies of m: the images
+    of all maps m -> x must fill x."""
+    field = m.algebra.field
+    fs = hom_basis(m, x)
+    for v in x.dims:
+        if x.dims[v] == 0:
+            continue
+        if not fs:
+            return False
+        stacked = np.vstack([f.blocks[v] for f in fs])
+        if field.rank(stacked) < x.dims[v]:
+            return False
+    return True
+
+
+def fac_equal(x: Rep, y: Rep) -> bool:
+    """Whether x and y generate the same quotient-closed class."""
+    return fac_contains(x, y) and fac_contains(y, x)
+
+
+def nu_stable_torsion_check(x: Rep) -> bool:
+    """Whether x and its Nakayama image generate the same class."""
+    selfinjective_data(x.algebra)
+    return fac_equal(x, nu_module(x))
 
 
 # -- module corpora ---------------------------------------------------------------
@@ -982,7 +1117,7 @@ def uniserial_quotients(algebra) -> list:
         pv = projective(algebra, v)
         keep(pv)
         for k in algebra.paths_from(v):
-            if algebra.word_length(k) == 0:
+            if not algebra.basis_words[k][1]:
                 continue
             x = algebra.zero()
             x[k] = 1

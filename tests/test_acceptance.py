@@ -17,7 +17,6 @@ from tautilt.complexes import (
     minimalize,
     nu_complex,
     presentation_complex,
-    summand_classes,
 )
 from tautilt.modules import (
     are_isomorphic,
@@ -310,11 +309,12 @@ def test_criterion_8_infrastructure_oracles(nak4, nak4_enumeration, a2,
     for run in (runs["a2"], runs["prep3"]):
         for node in list(run.nodes)[:4]:
             c = run.node_complex(node)
-            for index in range(len(summand_classes(c))):
+            for index in range(len(oracles.summand_classes(c))):
                 once = mutate_silting(c, index)
-                old = [rep for rep, _ in summand_classes(c)]
+                old = [rep for rep, _ in oracles.summand_classes(c)]
                 new_index = next(
-                    k for k, (rep, _) in enumerate(summand_classes(once))
+                    k for k, (rep, _)
+                    in enumerate(oracles.summand_classes(once))
                     if not any(complexes_isomorphic(rep, o) for o in old))
                 twice = mutate_silting(once, new_index)
                 if not complexes_isomorphic(minimalize(c), minimalize(twice)):

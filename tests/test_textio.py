@@ -32,7 +32,8 @@ a*b = 0
 def test_algebra_file_roundtrip():
     alg = parse_algebra_text(GOOD)
     assert alg.dim == 5  # e1 e2 e3 a b
-    assert not alg.multiply(alg.arrow_element("a"), alg.arrow_element("b")).any()
+    assert not alg.multiply(alg.element_from_path(["a"]),
+                            alg.element_from_path(["b"])).any()
 
 
 def test_field_override():

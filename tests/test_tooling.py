@@ -51,12 +51,18 @@ def test_public_api_takes_no_random_generator():
         assert "rng" not in inspect.signature(obj).parameters, name
 
 
-def test_traced_names_resolve():
+def _traced() -> dict:
+    """perfbench/tracer.py's TRACED: metric -> (module, dotted path)."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    assert tracer.TRACED
-    for metric, (home, path) in tracer.TRACED.items():
+    return tracer.TRACED
+
+
+def test_traced_names_resolve():
+    traced = _traced()
+    assert traced
+    for metric, (home, path) in traced.items():
         owner = importlib.import_module(f"tautilt.{home}")
         for attr in path.split("."):
             assert hasattr(owner, attr), metric
@@ -95,6 +101,48 @@ def test_private_helpers_are_used():
                 named.add(node.name)
     assert defined
     assert [d for d in defined if d[1] not in named] == []
+
+
+def _readme_names() -> set:
+    """Identifiers in the README's python blocks and inline code spans."""
+    text = (ROOT / "README.md").read_text()
+    fence = re.compile(r"^```(\w*)\n(.*?)^```", re.M | re.S)
+    spans = [body for lang, body in fence.findall(text) if lang == "python"]
+    spans += re.findall(r"`([^`\n]+)`", fence.sub("", text))
+    return {name for span in spans
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def test_public_names_are_used():
+    # a public function, class or method that no module of the package
+    # names, the README does not document and the benchmark does not trace
+    # is kept alive only by the tests that call it; the package's __init__
+    # only re-exports, so its imports name nothing
+    defined, named = [], set()
+    for path in sorted((ROOT / "src" / "tautilt").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{node.name}.{item.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+    traced = {path for _, path in _traced().values()}
+    named |= _readme_names()
+    assert defined
+    assert [qual for qual, name in defined if not name.startswith("_")
+            and name not in named and qual not in traced] == []
 
 
 def test_no_unused_imports():
